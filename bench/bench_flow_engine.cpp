@@ -1,17 +1,9 @@
 // Experiment FE: the cache-native flow kernel behind ht::CutEngine.
 //
-// Sections, each an A/B pair of FlowOptions (or the FlowReuseScope
-// toggle) over a fixed cut-tree workload:
-//
-//   * gomory_hu / vertex_cut_tree / hypergraph_gomory_hu — engine cache
-//     on (reset-and-reuse, the default) vs off (fresh FlowNetwork per
-//     query, the pre-CSR behaviour);
-//   * certificate_* — Nagamochi–Ibaraki/Chekuri–Xu sparsification off vs
-//     on for the two Gomory–Hu builders;
-//   * algorithm_point_queries — Dinic vs push-relabel on a point-query
-//     batch;
-//   * ordering_gomory_hu — in-order applies vs FlowReuse::kArenaAndCuts
-//     distinct-parent batches.
+// Sections gomory_hu / vertex_cut_tree / hypergraph_gomory_hu, each an
+// A/B of the FlowReuseScope toggle over a fixed cut-tree workload: engine
+// cache on (reset-and-reuse, the default) vs off (fresh FlowNetwork per
+// query, the pre-CSR behaviour).
 //
 // Wall times are the MEDIAN of kReps runs (single-core CI runners are
 // noisy); the deterministic counters (flows, builds, augmenting paths)
@@ -31,7 +23,6 @@
 
 #include "bench_common.hpp"
 #include "cuttree/vertex_cut_tree.hpp"
-#include "flow/certificate.hpp"
 #include "flow/cut_engine.hpp"
 #include "flow/flow_network.hpp"
 #include "graph/generators.hpp"
@@ -55,8 +46,6 @@ struct Measurement {
   std::uint64_t peak_arena_bytes = 0;
   std::uint64_t augmenting_paths = 0;  // sum over the counted run
   double solve_p99_us = 0.0;           // p99 of flow.solve_ns
-  std::uint64_t certificate_dropped = 0;
-  std::uint64_t certificate_rejects = 0;
   std::string metrics_json;            // registry snapshot after the run
 };
 
@@ -97,9 +86,6 @@ Measurement measure(Fn&& work) {
   m.augmenting_paths = static_cast<std::uint64_t>(
       registry.histogram("flow.augmenting_paths").snapshot().sum);
   m.solve_p99_us = registry.histogram("flow.solve_ns").snapshot().p99() / 1e3;
-  m.certificate_dropped =
-      registry.counter("flow.certificate_dropped_edges").value();
-  m.certificate_rejects = registry.counter("flow.certificate_rejects").value();
   m.metrics_json = registry.snapshot_json();
   return m;
 }
@@ -129,9 +115,7 @@ void append_json(std::string& out, const std::string& name,
                 "    \"%s\": {\"wall_ms\": %.3f, \"max_flow_calls\": %llu, "
                 "\"flow_builds\": %llu, \"flow_reuses\": %llu, "
                 "\"arena_hit_rate\": %.4f, \"peak_arena_bytes\": %llu, "
-                "\"augmenting_paths\": %llu, \"solve_p99_us\": %.3f, "
-                "\"certificate_dropped\": %llu, "
-                "\"certificate_rejects\": %llu,\n"
+                "\"augmenting_paths\": %llu, \"solve_p99_us\": %.3f,\n"
                 "      \"metrics\": ",
                 name.c_str(), m.wall_ms,
                 static_cast<unsigned long long>(m.max_flow_calls),
@@ -140,9 +124,7 @@ void append_json(std::string& out, const std::string& name,
                 m.arena_hit_rate,
                 static_cast<unsigned long long>(m.peak_arena_bytes),
                 static_cast<unsigned long long>(m.augmenting_paths),
-                m.solve_p99_us,
-                static_cast<unsigned long long>(m.certificate_dropped),
-                static_cast<unsigned long long>(m.certificate_rejects));
+                m.solve_p99_us);
   out += buf;
   out += m.metrics_json;
   out += last ? "}\n" : "},\n";
@@ -190,85 +172,13 @@ OverheadReport measure_disabled_overhead(Fn&& workload, double workload_ms) {
   return r;
 }
 
-/// A/B of the per-query certificate threshold scan: the branchless
-/// unrolled collect_certified() against the straight-line scalar loop,
-/// over real CAPFOREST thresholds and a sweep of degree bounds. The
-/// hard part of the contract is drift, not speed: both paths must select
-/// the exact same edge list for every bound (a single index of
-/// disagreement would change which edges the flow solver sees).
-struct ScanReport {
-  std::size_t edges = 0;
-  std::uint64_t selected = 0;   // summed over the bound sweep (scalar)
-  std::uint64_t drift = 0;      // element-wise disagreements (must be 0)
-  double scalar_ms = 0.0;       // median of kReps sweep timings
-  double fast_ms = 0.0;
-};
-
-ScanReport measure_certificate_scan() {
-  ScanReport r;
-  ht::Rng rng(4242);
-  const auto h = ht::hypergraph::random_uniform(400, 4000, 4, rng);
-  const auto cert = ht::flow::hyperedge_certificate_thresholds(h);
-  r.edges = cert.threshold.size();
-
-  // Bounds spanning the whole selectivity range, plus exact threshold
-  // values to exercise the >= boundary itself.
-  std::vector<double> bounds;
-  auto sorted = cert.threshold;
-  std::sort(sorted.begin(), sorted.end());
-  for (int q = 0; q <= 10; ++q)
-    bounds.push_back(sorted[(sorted.size() - 1) * static_cast<std::size_t>(q) /
-                            10]);
-  bounds.push_back(0.0);
-  bounds.push_back(sorted.back() + 1.0);
-
-  std::vector<std::int32_t> scalar_out(r.edges), fast_out(r.edges);
-  for (double bound : bounds) {
-    const std::size_t ns = ht::flow::collect_certified_scalar(
-        cert.threshold, bound, scalar_out.data());
-    const std::size_t nf =
-        ht::flow::collect_certified(cert.threshold, bound, fast_out.data());
-    r.selected += ns;
-    if (ns != nf) {
-      r.drift += ns > nf ? ns - nf : nf - ns;
-      continue;
-    }
-    for (std::size_t i = 0; i < ns; ++i)
-      if (scalar_out[i] != fast_out[i]) ++r.drift;
-  }
-
-  constexpr int kSweeps = 400;
-  volatile std::size_t sink = 0;
-  auto time_sweeps = [&](auto&& scan) {
-    std::vector<double> walls;
-    for (int rep = 0; rep < kReps; ++rep) {
-      ht::Timer timer;
-      for (int s = 0; s < kSweeps; ++s)
-        for (double bound : bounds) sink += scan(bound);
-      walls.push_back(timer.millis());
-    }
-    std::sort(walls.begin(), walls.end());
-    return walls[walls.size() / 2];
-  };
-  r.scalar_ms = time_sweeps([&](double bound) {
-    return ht::flow::collect_certified_scalar(cert.threshold, bound,
-                                              scalar_out.data());
-  });
-  r.fast_ms = time_sweeps([&](double bound) {
-    return ht::flow::collect_certified(cert.threshold, bound,
-                                       fast_out.data());
-  });
-  return r;
-}
-
 }  // namespace
 
 int main() {
   ht::bench::print_header(
       "FE: cache-native flow kernel (CutEngine)",
       "CSR arcs + arena reuse cut network builds >= 1.5x vs "
-      "build-per-query; certificates cut augmenting-path work; outputs "
-      "byte-identical in every mode");
+      "build-per-query; outputs byte-identical in every mode");
 
   std::vector<Section> sections;
 
@@ -293,75 +203,18 @@ int main() {
     (void)ht::CutEngine().gomory_hu(hh);
   }));
 
-  // Certificate A/B on a denser graph, where the degree bound bites: the
-  // sparsifier must strictly reduce augmenting-path work while the tree
-  // stays byte-identical (pinned by test_flow_engine goldens).
-  ht::Rng cert_rng(62);
-  const auto cert_graph = ht::graph::gnp_connected(80, 16.0 / 80, cert_rng);
-  {
-    Section s;
-    s.name = "certificate_gomory_hu";
-    s.modes.emplace_back("off", measure([&cert_graph] {
-      (void)ht::CutEngine().gomory_hu(cert_graph);
-    }));
-    s.modes.emplace_back("on", measure([&cert_graph] {
-      (void)ht::CutEngine({.certificate = true}).gomory_hu(cert_graph);
-    }));
-    sections.push_back(std::move(s));
-  }
-  {
-    Section s;
-    s.name = "certificate_hypergraph_gomory_hu";
-    s.modes.emplace_back("off", measure([&hh] {
-      (void)ht::CutEngine().gomory_hu(hh);
-    }));
-    s.modes.emplace_back("on", measure([&hh] {
-      (void)ht::CutEngine({.certificate = true}).gomory_hu(hh);
-    }));
-    sections.push_back(std::move(s));
-  }
-  {
-    Section s;
-    s.name = "algorithm_point_queries";
-    const auto queries = [&gh_graph](const ht::FlowOptions& options) {
-      const ht::CutEngine engine(options);
-      const auto n = gh_graph.num_vertices();
-      for (ht::graph::VertexId t = 1; t < n; t += 3)
-        (void)engine.min_edge_cut(gh_graph, {0}, {t});
-    };
-    s.modes.emplace_back("dinic", measure([&] { queries({}); }));
-    s.modes.emplace_back("push_relabel", measure([&] {
-      queries({.algorithm = ht::FlowAlgorithm::kPushRelabel});
-    }));
-    sections.push_back(std::move(s));
-  }
-  {
-    Section s;
-    s.name = "ordering_gomory_hu";
-    s.modes.emplace_back("in_order", measure(gh_workload));
-    s.modes.emplace_back("distinct_parents", measure([&gh_graph] {
-      (void)ht::CutEngine({.reuse = ht::FlowReuse::kArenaAndCuts})
-          .gomory_hu(gh_graph);
-    }));
-    sections.push_back(std::move(s));
-  }
-
   ht::Table table({"section", "mode", "wall_ms", "flows", "builds",
-                   "aug_paths", "p99_us", "dropped", "hit_rate"});
+                   "aug_paths", "p99_us", "hit_rate"});
   for (const auto& s : sections) {
     for (const auto& [label, m] : s.modes) {
       table.add(s.name, label, m.wall_ms, m.max_flow_calls, m.flow_builds,
-                m.augmenting_paths, m.solve_p99_us, m.certificate_dropped,
-                m.arena_hit_rate);
+                m.augmenting_paths, m.solve_p99_us, m.arena_hit_rate);
     }
   }
   ht::bench::print_table(table);
 
-  // Acceptance gates, deterministic-count based so runner noise cannot
-  // flip them:
-  //  * reuse must save >= 1.5x network builds on the graph sections;
-  //  * the certificate must strictly reduce augmenting-path work on the
-  //    dense graph section.
+  // Acceptance gate, deterministic-count based so runner noise cannot
+  // flip it: reuse must save >= 1.5x network builds on the graph sections.
   bool gate_ok = true;
   for (const auto& name : {"gomory_hu", "vertex_cut_tree"}) {
     const auto& s = *std::find_if(sections.begin(), sections.end(),
@@ -374,26 +227,7 @@ int main() {
                              : 0.0;
     if (ratio < 1.5 && reuse.wall_ms >= fresh.wall_ms) gate_ok = false;
   }
-  {
-    const auto& s = *std::find_if(
-        sections.begin(), sections.end(),
-        [](const Section& x) { return x.name == "certificate_gomory_hu"; });
-    if (mode(s, "on").certificate_dropped == 0) gate_ok = false;
-  }
-  // Certificate-scan A/B: any drift between the unrolled and scalar
-  // selections is a hard failure — the paths must be interchangeable.
-  const ScanReport scan = measure_certificate_scan();
-  if (scan.drift != 0) gate_ok = false;
-  std::printf(
-      "certificate scan: %zu edges, %llu selected over sweep, drift=%llu "
-      "(scalar %.3f ms, unrolled %.3f ms) -> %s\n",
-      scan.edges, static_cast<unsigned long long>(scan.selected),
-      static_cast<unsigned long long>(scan.drift), scan.scalar_ms,
-      scan.fast_ms, scan.drift == 0 ? "PASS (no drift)" : "FAIL (drift)");
-
-  std::cout << (gate_ok ? "gate: PASS (>=1.5x fewer builds; certificate "
-                          "drops edges on the dense section; scan drift 0)"
-                        : "gate: FAIL")
+  std::cout << (gate_ok ? "gate: PASS (>=1.5x fewer builds)" : "gate: FAIL")
             << "\n";
 
   const OverheadReport overhead = measure_disabled_overhead(
@@ -415,18 +249,6 @@ int main() {
                   i + 1 == s.modes.size());
     }
     json += "  },\n";
-  }
-  {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "  \"certificate_scan\": {\"edges\": %zu, "
-                  "\"selected\": %llu, \"drift\": %llu, "
-                  "\"scalar_ms\": %.3f, \"fast_ms\": %.3f},\n",
-                  scan.edges,
-                  static_cast<unsigned long long>(scan.selected),
-                  static_cast<unsigned long long>(scan.drift),
-                  scan.scalar_ms, scan.fast_ms);
-    json += buf;
   }
   {
     char buf[256];

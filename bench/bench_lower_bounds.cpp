@@ -16,7 +16,7 @@
 #include "bench_common.hpp"
 #include "cuttree/quality.hpp"
 #include "cuttree/vertex_cut_tree.hpp"
-#include "flow/min_cut.hpp"
+#include "flow/cut_engine.hpp"
 #include "graph/generators.hpp"
 #include "hypergraph/generators.hpp"
 #include "reduction/star_expansion.hpp"

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <optional>
 
-#include "flow/certificate.hpp"
 #include "flow/flow_network.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -30,27 +29,9 @@ ht::obs::Histogram& solve_ns_histogram() {
   return h;
 }
 
-ht::obs::Counter& certificate_queries_counter() {
-  static ht::obs::Counter& c =
-      ht::obs::MetricsRegistry::global().counter("flow.certificate_queries");
-  return c;
-}
-
-ht::obs::Counter& certificate_rejects_counter() {
-  static ht::obs::Counter& c =
-      ht::obs::MetricsRegistry::global().counter("flow.certificate_rejects");
-  return c;
-}
-
-ht::obs::Counter& certificate_dropped_counter() {
-  static ht::obs::Counter& c = ht::obs::MetricsRegistry::global().counter(
-      "flow.certificate_dropped_edges");
-  return c;
-}
-
-/// Records the end-to-end time of one min-cut query (solve + witness +
-/// certificate fallback, excluding network construction) into the
-/// "flow.solve_ns" histogram — the source of the p99 flow-time gate.
+/// Records the end-to-end time of one min-cut query (solve + witness,
+/// excluding network construction) into the "flow.solve_ns" histogram —
+/// the source of the p99 flow-time gate.
 class SolveTimer {
  public:
   SolveTimer() : start_(std::chrono::steady_clock::now()) {}
@@ -91,7 +72,6 @@ void check_disjoint_nonempty(PieceAllocator::Scope& scope,
 /// held across a thread-pool wait (see WorkArena).
 template <typename BuildFn>
 FlowNetwork& acquire_network(std::uint32_t kind, std::uint64_t uid,
-                             bool allow_reuse,
                              std::optional<FlowNetwork>& fresh,
                              BuildFn&& build) {
   // Apply the run's memory budget before parking another engine: evict
@@ -100,7 +80,7 @@ FlowNetwork& acquire_network(std::uint32_t kind, std::uint64_t uid,
     const std::size_t budget = run->context().memory_budget_bytes;
     if (budget != 0) ht::WorkArena::local().enforce_budget(budget);
   }
-  if (allow_reuse && flow_reuse_enabled() && uid != 0) {
+  if (flow_reuse_enabled() && uid != 0) {
     FlowNetwork& net = ht::WorkArena::local().acquire<FlowNetwork>(
         kind, uid, static_cast<BuildFn&&>(build));
     if (net.queries() > 0) PerfCounters::global().add_flow_reuse();
@@ -108,43 +88,6 @@ FlowNetwork& acquire_network(std::uint32_t kind, std::uint64_t uid,
   }
   fresh.emplace(build());
   return *fresh;
-}
-
-/// Certificate thresholds for the structure, cached next to its flow
-/// network when caching is available, computed locally otherwise.
-template <typename ComputeFn>
-const CertificateThresholds& acquire_thresholds(
-    std::uint32_t kind, std::uint64_t uid, bool allow_reuse,
-    std::optional<CertificateThresholds>& fresh, ComputeFn&& compute) {
-  if (allow_reuse && flow_reuse_enabled() && uid != 0) {
-    return ht::WorkArena::local().acquire<CertificateThresholds>(
-        kind, uid, static_cast<ComputeFn&&>(compute));
-  }
-  fresh.emplace(compute());
-  return *fresh;
-}
-
-double weighted_degree(const Graph& g, GraphVertexId v) {
-  double sum = 0.0;
-  for (const auto& adj : g.neighbors(v)) sum += g.edge(adj.edge).weight;
-  return sum;
-}
-
-double weighted_degree(const Hypergraph& h, HyperVertexId v) {
-  double sum = 0.0;
-  for (auto e : h.incident_edges(v)) sum += h.edge_weight(e);
-  return sum;
-}
-
-/// min(total weighted degree of A, of B): an upper bound on the A-B min
-/// cut, and the k a certificate must preserve cuts below.
-template <typename Structure, typename VertexT>
-double degree_bound(const Structure& s, const std::vector<VertexT>& a,
-                    const std::vector<VertexT>& b) {
-  double da = 0.0, db = 0.0;
-  for (VertexT v : a) da += weighted_degree(s, v);
-  for (VertexT v : b) db += weighted_degree(s, v);
-  return std::min(da, db);
 }
 
 }  // namespace
@@ -168,81 +111,28 @@ EdgeCutResult CutEngine::min_edge_cut(
   PieceAllocator::Scope scope(WorkArena::local().pieces());
   check_disjoint_nonempty(scope, a, b, g.num_vertices());
   const NodeId n = g.num_vertices();
-  const bool allow_reuse = options_.reuse != FlowReuse::kNone;
   std::optional<FlowNetwork> fresh;
   FlowNetwork& net =
-      acquire_network(kEdgeCutNetwork, g.uid(), allow_reuse, fresh,
+      acquire_network(kEdgeCutNetwork, g.uid(), fresh,
                       [&g] { return FlowNetwork::edge_cut_network(g); });
-  net.set_poll_stride(options_.poll_stride);
   net.reset();
-
-  // Certificate sparsification: deactivate every edge whose CAPFOREST
-  // value already meets this query's degree bound. Exactness comes from
-  // the acceptance check below, not from the thresholds.
-  std::span<ht::graph::EdgeId> dropped;
-  std::size_t dropped_count = 0;
-  if (options_.certificate && net.num_structural() == g.num_edges()) {
-    const double bound = degree_bound(g, a, b);
-    if (bound > 0.0) {
-      certificate_queries_counter().add();
-      std::optional<CertificateThresholds> fresh_cert;
-      const CertificateThresholds& cert = acquire_thresholds(
-          kEdgeCertificateKind, g.uid(), allow_reuse, fresh_cert,
-          [&g] { return edge_certificate_thresholds(g); });
-      dropped = scope.alloc<ht::graph::EdgeId>(
-          static_cast<std::size_t>(g.num_edges()));
-      dropped_count = collect_certified(cert.threshold, bound, dropped.data());
-      for (std::size_t d = 0; d < dropped_count; ++d)
-        net.deactivate_structural(dropped[d]);
-    }
-  }
-
   for (GraphVertexId v : a) net.attach_source(v);
   for (GraphVertexId v : b) net.attach_sink(v);
-  const bool push_relabel = options_.algorithm == FlowAlgorithm::kPushRelabel;
-  push_relabel ? net.max_flow_push_relabel() : net.max_flow();
-
-  auto build_witness = [&](EdgeCutResult& out) {
-    out.complete = net.last_flow_complete();
-    const std::vector<char>& reach = net.source_side();
-    out.source_side.assign(static_cast<std::size_t>(n), false);
-    for (NodeId v = 0; v < n; ++v)
-      out.source_side[static_cast<std::size_t>(v)] =
-          reach[static_cast<std::size_t>(v)] != 0;
-    out.cut_edges.clear();
-    out.value = 0.0;
-    for (ht::graph::EdgeId e = 0; e < g.num_edges(); ++e) {
-      const auto& edge = g.edge(e);
-      if (out.source_side[static_cast<std::size_t>(edge.u)] !=
-          out.source_side[static_cast<std::size_t>(edge.v)]) {
-        out.cut_edges.push_back(e);
-        out.value += edge.weight;
-      }
-    }
-  };
+  net.max_flow();
 
   EdgeCutResult out;
-  build_witness(out);
-  if (dropped_count > 0 && out.complete) {
-    // Acceptance check: if no dropped edge straddles the canonical cut of
-    // the sparsified network, that cut is the full network's canonical
-    // min cut with its exact value (DESIGN.md §13); otherwise the bound
-    // was not conservative enough here — re-solve on the full network.
-    bool rejected = false;
-    for (std::size_t d = 0; d < dropped_count && !rejected; ++d) {
-      const auto& edge = g.edge(dropped[d]);
-      rejected = out.source_side[static_cast<std::size_t>(edge.u)] !=
-                 out.source_side[static_cast<std::size_t>(edge.v)];
-    }
-    if (rejected) {
-      certificate_rejects_counter().add();
-      net.reset();
-      for (GraphVertexId v : a) net.attach_source(v);
-      for (GraphVertexId v : b) net.attach_sink(v);
-      push_relabel ? net.max_flow_push_relabel() : net.max_flow();
-      build_witness(out);
-    } else {
-      certificate_dropped_counter().add(dropped_count);
+  out.complete = net.last_flow_complete();
+  const std::vector<char>& reach = net.source_side();
+  out.source_side.assign(static_cast<std::size_t>(n), false);
+  for (NodeId v = 0; v < n; ++v)
+    out.source_side[static_cast<std::size_t>(v)] =
+        reach[static_cast<std::size_t>(v)] != 0;
+  for (ht::graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+    const auto& edge = g.edge(e);
+    if (out.source_side[static_cast<std::size_t>(edge.u)] !=
+        out.source_side[static_cast<std::size_t>(edge.v)]) {
+      out.cut_edges.push_back(e);
+      out.value += edge.weight;
     }
   }
   span.arg("cut_value", out.value);
@@ -265,18 +155,14 @@ VertexCutResult CutEngine::min_vertex_cut(
   // Node splitting: v_in = 2v, v_out = 2v+1 (see vertex_cut_network).
   auto v_in = [](GraphVertexId v) { return static_cast<NodeId>(2 * v); };
   auto v_out = [](GraphVertexId v) { return static_cast<NodeId>(2 * v + 1); };
-  const bool allow_reuse = options_.reuse != FlowReuse::kNone;
   std::optional<FlowNetwork> fresh;
   FlowNetwork& net =
-      acquire_network(kVertexCutNetwork, g.uid(), allow_reuse, fresh,
+      acquire_network(kVertexCutNetwork, g.uid(), fresh,
                       [&g] { return FlowNetwork::vertex_cut_network(g); });
-  net.set_poll_stride(options_.poll_stride);
   net.reset();
   for (GraphVertexId v : a) net.attach_source(v);
   for (GraphVertexId v : b) net.attach_sink(v);
-  options_.algorithm == FlowAlgorithm::kPushRelabel
-      ? net.max_flow_push_relabel()
-      : net.max_flow();
+  net.max_flow();
 
   VertexCutResult out;
   out.complete = net.last_flow_complete();
@@ -314,90 +200,26 @@ HyperedgeCutResult CutEngine::min_hyperedge_cut(
   auto e_out = [n](ht::hypergraph::EdgeId e) {
     return static_cast<NodeId>(n + 2 * e + 1);
   };
-  const bool allow_reuse = options_.reuse != FlowReuse::kNone;
   std::optional<FlowNetwork> fresh;
   FlowNetwork& net =
-      acquire_network(kHyperedgeCutNetwork, h.uid(), allow_reuse, fresh,
+      acquire_network(kHyperedgeCutNetwork, h.uid(), fresh,
                       [&h] { return FlowNetwork::hyperedge_cut_network(h); });
-  net.set_poll_stride(options_.poll_stride);
   net.reset();
-
-  std::span<char> dropped_mask;
-  std::size_t dropped_count = 0;
-  if (options_.certificate && net.num_structural() == m) {
-    const double bound = degree_bound(h, a, b);
-    if (bound > 0.0) {
-      certificate_queries_counter().add();
-      std::optional<CertificateThresholds> fresh_cert;
-      const CertificateThresholds& cert = acquire_thresholds(
-          kHyperedgeCertificateKind, h.uid(), allow_reuse, fresh_cert,
-          [&h] { return hyperedge_certificate_thresholds(h); });
-      dropped_mask = scope.alloc_zero<char>(static_cast<std::size_t>(m));
-      std::span<ht::hypergraph::EdgeId> certified =
-          scope.alloc<ht::hypergraph::EdgeId>(static_cast<std::size_t>(m));
-      dropped_count =
-          collect_certified(cert.threshold, bound, certified.data());
-      for (std::size_t d = 0; d < dropped_count; ++d) {
-        net.deactivate_structural(certified[d]);
-        dropped_mask[static_cast<std::size_t>(certified[d])] = 1;
-      }
-    }
-  }
-
   for (auto v : a) net.attach_source(v);
   for (auto v : b) net.attach_sink(v);
-  const bool push_relabel = options_.algorithm == FlowAlgorithm::kPushRelabel;
-  push_relabel ? net.max_flow_push_relabel() : net.max_flow();
+  net.max_flow();
 
+  // A hyperedge is cut iff e_in is reachable and e_out is not (for any max
+  // flow, e_out is reachable exactly when all pins are).
   HyperedgeCutResult out;
   out.complete = net.last_flow_complete();
-  // Witness + acceptance in one pass. A kept hyperedge is cut iff e_in is
-  // reachable and e_out is not (for any max flow, e_out is reachable
-  // exactly when all pins are). A *deactivated* hyperedge never carries
-  // flow, so its e_out is unreachable regardless — classify it by its
-  // pins instead: all pins on one side means it is not cut (and the full
-  // solve would agree); pins straddling the cut refutes the certificate.
-  bool rejected = false;
-  {
-    const std::vector<char>& reach = net.source_side();
-    for (ht::hypergraph::EdgeId e = 0; e < m && !rejected; ++e) {
-      if (dropped_count > 0 && dropped_mask[static_cast<std::size_t>(e)]) {
-        bool any = false, all = true;
-        for (auto v : h.pins(e)) {
-          if (reach[static_cast<std::size_t>(v)])
-            any = true;
-          else
-            all = false;
-        }
-        rejected = any && !all;
-        continue;
-      }
-      if (reach[static_cast<std::size_t>(e_in(e))] &&
-          !reach[static_cast<std::size_t>(e_out(e))]) {
-        out.cut_edges.push_back(e);
-        out.value += h.edge_weight(e);
-      }
+  const std::vector<char>& reach = net.source_side();
+  for (ht::hypergraph::EdgeId e = 0; e < m; ++e) {
+    if (reach[static_cast<std::size_t>(e_in(e))] &&
+        !reach[static_cast<std::size_t>(e_out(e))]) {
+      out.cut_edges.push_back(e);
+      out.value += h.edge_weight(e);
     }
-  }
-  if (rejected && out.complete) {
-    certificate_rejects_counter().add();
-    net.reset();
-    for (auto v : a) net.attach_source(v);
-    for (auto v : b) net.attach_sink(v);
-    push_relabel ? net.max_flow_push_relabel() : net.max_flow();
-    out.cut_edges.clear();
-    out.value = 0.0;
-    out.complete = net.last_flow_complete();
-    const std::vector<char>& reach = net.source_side();
-    for (ht::hypergraph::EdgeId e = 0; e < m; ++e) {
-      if (reach[static_cast<std::size_t>(e_in(e))] &&
-          !reach[static_cast<std::size_t>(e_out(e))]) {
-        out.cut_edges.push_back(e);
-        out.value += h.edge_weight(e);
-      }
-    }
-  } else if (dropped_count > 0 && !rejected) {
-    certificate_dropped_counter().add(dropped_count);
   }
   span.arg("cut_value", out.value);
   span.arg("augmenting_paths", net.last_augmenting_paths());
@@ -408,18 +230,23 @@ HyperedgeCutResult CutEngine::min_hyperedge_cut(
 // ---------------------------------------------------------------------------
 // Gomory–Hu trees
 
-double GomoryHuTree::min_cut(GraphVertexId s, GraphVertexId t) const {
+namespace {
+
+/// Minimum parent_cut on the tree path s..t of a parent-array tree.
+double tree_path_min(const std::vector<std::int32_t>& parent,
+                     const std::vector<double>& parent_cut, std::int32_t s,
+                     std::int32_t t) {
   HT_CHECK(s != t);
-  // Walk both vertices to the root recording depth-annotated paths; the
-  // answer is the minimum parent_cut on the s..t tree path.
-  auto path_to_root = [this](GraphVertexId v) {
-    std::vector<GraphVertexId> path{v};
+  // Walk both vertices to the root; the answer is the minimum parent_cut
+  // below the junction of the two paths.
+  auto path_to_root = [&parent](std::int32_t v) {
+    std::vector<std::int32_t> path{v};
     while (parent[static_cast<std::size_t>(path.back())] != -1)
       path.push_back(parent[static_cast<std::size_t>(path.back())]);
     return path;
   };
-  std::vector<GraphVertexId> ps = path_to_root(s);
-  std::vector<GraphVertexId> pt = path_to_root(t);
+  const std::vector<std::int32_t> ps = path_to_root(s);
+  const std::vector<std::int32_t> pt = path_to_root(t);
   // Strip the common suffix (shared ancestors) but keep the LCA junction.
   std::size_t is = ps.size(), it = pt.size();
   while (is > 0 && it > 0 && ps[is - 1] == pt[it - 1]) {
@@ -434,6 +261,98 @@ double GomoryHuTree::min_cut(GraphVertexId s, GraphVertexId t) const {
   return best;
 }
 
+/// Gusfield apply step for vertex i with cut value `value`, whose source
+/// side (i's side) is the indicator `on_i_side`: record the cut, re-hang
+/// the unapplied vertices k > i of i's side that hang off j = parent[i],
+/// and splice i between j and j's parent if that parent fell on i's side.
+template <typename Tree, typename Side>
+void gusfield_apply(Tree& tree, std::int32_t i, double value,
+                    const Side& on_i_side) {
+  auto& parent = tree.parent;
+  auto& parent_cut = tree.parent_cut;
+  const auto n = static_cast<std::int32_t>(parent.size());
+  const std::int32_t j = parent[static_cast<std::size_t>(i)];
+  parent_cut[static_cast<std::size_t>(i)] = value;
+  for (std::int32_t k = i + 1; k < n; ++k) {
+    if (parent[static_cast<std::size_t>(k)] == j &&
+        on_i_side[static_cast<std::size_t>(k)])
+      parent[static_cast<std::size_t>(k)] = i;
+  }
+  const std::int32_t pj = parent[static_cast<std::size_t>(j)];
+  if (pj != -1 && on_i_side[static_cast<std::size_t>(pj)]) {
+    parent[static_cast<std::size_t>(i)] = pj;
+    parent_cut[static_cast<std::size_t>(i)] =
+        parent_cut[static_cast<std::size_t>(j)];
+    parent[static_cast<std::size_t>(j)] = i;
+    parent_cut[static_cast<std::size_t>(j)] = value;
+  }
+}
+
+/// Gusfield's n-1 max flows over vertices 1..n-1 in order, shared by both
+/// Gomory–Hu builders. `cut(i, j)` answers the i-j min cut; `apply(i, c)`
+/// applies a complete cut to out.tree (via gusfield_apply).
+///
+/// Batched speculation: the (i, parent[i]) max-flow subproblems of a batch
+/// are independent given a parent snapshot, so they run over the pool; a
+/// cut is applied only when i's parent is unchanged at apply time,
+/// otherwise it is recomputed against the live parent. The applied
+/// sequence is therefore exactly the serial Gusfield run — identical for
+/// every thread count and batch size.
+template <typename RunResult, typename CutFn, typename ApplyFn>
+void run_gusfield(std::int32_t n, RunResult& out, CutFn&& cut,
+                  ApplyFn&& apply) {
+  RunState* run = current_run_state();
+  auto& tree = out.tree;
+  tree.root = 0;
+  tree.parent.assign(static_cast<std::size_t>(n), 0);
+  tree.parent[0] = -1;
+  tree.parent_cut.assign(static_cast<std::size_t>(n), 0.0);
+  using Cut = decltype(cut(0, 0));
+  const auto batch_size = static_cast<std::int32_t>(
+      std::max<std::size_t>(1, ThreadPool::global().size()));
+  bool interrupted = false;
+  for (std::int32_t lo = 1; lo < n && !interrupted; lo += batch_size) {
+    const std::int32_t hi = std::min(n, lo + batch_size);
+    const auto count = static_cast<std::size_t>(hi - lo);
+    const std::vector<std::int32_t> snapshot(tree.parent.begin() + lo,
+                                             tree.parent.begin() + hi);
+    std::vector<Cut> speculative(count);
+    if (count > 1) {
+      parallel_for(count, [&](std::size_t t) {
+        speculative[t] = cut(lo + static_cast<std::int32_t>(t), snapshot[t]);
+      });
+    }
+    for (std::int32_t i = lo; i < hi; ++i) {
+      // Anytime stop, at the serial apply boundary only: vertices before
+      // i keep their exact cuts, i and beyond stay provisional. An
+      // interrupted (incomplete) flow is never applied — its witness need
+      // not separate.
+      if (run != nullptr && !run->check().ok()) {
+        interrupted = true;
+        break;
+      }
+      const std::int32_t j = tree.parent[static_cast<std::size_t>(i)];
+      const auto t = static_cast<std::size_t>(i - lo);
+      const Cut c = (count > 1 && snapshot[t] == j) ? std::move(speculative[t])
+                                                    : cut(i, j);
+      if (!c.complete) {
+        interrupted = true;
+        break;
+      }
+      apply(i, c);
+      ++out.applied;
+      if (run != nullptr) run->note_piece();
+    }
+  }
+  out.status = interrupted && run != nullptr ? run->status() : Status::Ok();
+}
+
+}  // namespace
+
+double GomoryHuTree::min_cut(GraphVertexId s, GraphVertexId t) const {
+  return tree_path_min(parent, parent_cut, s, t);
+}
+
 Graph GomoryHuTree::as_graph() const {
   Graph g(static_cast<GraphVertexId>(parent.size()));
   for (std::size_t v = 0; v < parent.size(); ++v) {
@@ -446,197 +365,28 @@ Graph GomoryHuTree::as_graph() const {
 
 double HypergraphGomoryHuTree::min_cut(HyperVertexId s,
                                        HyperVertexId t) const {
-  HT_CHECK(s != t);
-  auto path_to_root = [this](HyperVertexId v) {
-    std::vector<HyperVertexId> path{v};
-    while (parent[static_cast<std::size_t>(path.back())] != -1)
-      path.push_back(parent[static_cast<std::size_t>(path.back())]);
-    return path;
-  };
-  std::vector<HyperVertexId> ps = path_to_root(s);
-  std::vector<HyperVertexId> pt = path_to_root(t);
-  std::size_t is = ps.size(), it = pt.size();
-  while (is > 0 && it > 0 && ps[is - 1] == pt[it - 1]) {
-    --is;
-    --it;
-  }
-  double best = kInfiniteCapacity;
-  for (std::size_t i = 0; i < is; ++i)
-    best = std::min(best, parent_cut[static_cast<std::size_t>(ps[i])]);
-  for (std::size_t i = 0; i < it; ++i)
-    best = std::min(best, parent_cut[static_cast<std::size_t>(pt[i])]);
-  return best;
+  return tree_path_min(parent, parent_cut, s, t);
 }
-
-namespace {
-
-/// Selects the next deterministic virtual batch for FlowReuse::
-/// kArenaAndCuts: up to kVirtualBatch unapplied vertices, ascending,
-/// whose current parents are pairwise distinct and where no selected
-/// vertex is another's parent. Under those two conditions an apply can
-/// neither re-hang nor splice any other selected vertex, so every
-/// speculative flow of the batch is applied as-is — the ordering trades
-/// the serial-identical apply sequence for zero stale recomputes. The
-/// batch size is a constant (not the pool size) so the resulting tree is
-/// identical for every thread count.
-constexpr std::int32_t kVirtualBatch = 16;
-
-template <typename VertexT>
-void select_distinct_parent_batch(const std::vector<VertexT>& parent,
-                                  const std::vector<char>& applied,
-                                  std::vector<char>& taken,
-                                  std::vector<VertexT>& batch) {
-  batch.clear();
-  const auto n = static_cast<VertexT>(parent.size());
-  for (VertexT i = 1;
-       i < n && batch.size() < static_cast<std::size_t>(kVirtualBatch); ++i) {
-    if (applied[static_cast<std::size_t>(i)]) continue;
-    const VertexT j = parent[static_cast<std::size_t>(i)];
-    // taken[v] means v is already selected or is a selected vertex's
-    // parent; either role conflicts with selecting i or its parent.
-    if (taken[static_cast<std::size_t>(i)] ||
-        taken[static_cast<std::size_t>(j)])
-      continue;
-    taken[static_cast<std::size_t>(i)] = 1;
-    taken[static_cast<std::size_t>(j)] = 1;
-    batch.push_back(i);
-  }
-}
-
-}  // namespace
 
 GomoryHuRunResult CutEngine::gomory_hu(const Graph& g) const {
   HT_CHECK(g.finalized());
   const GraphVertexId n = g.num_vertices();
   HT_CHECK(n >= 2);
-  // One span per builder run. No per-batch spans: batch sizes can follow
-  // the pool size, so they would break thread-count-invariant traces; the
+  // One span per builder run. No per-batch spans: batch sizes follow the
+  // pool size, so they would break thread-count-invariant traces; the
   // nested flow.min_edge_cut spans carry the per-flow detail.
   ht::obs::TraceSpan trace("gomory_hu");
   trace.arg("n", n);
   ht::PhaseTimer phase("gomory_hu.graph");
-  RunState* run = current_run_state();
   GomoryHuRunResult out;
-  GomoryHuTree& tree = out.tree;
-  tree.root = 0;
-  tree.parent.assign(static_cast<std::size_t>(n), 0);
-  tree.parent[0] = -1;
-  tree.parent_cut.assign(static_cast<std::size_t>(n), 0.0);
-  std::vector<char> applied(static_cast<std::size_t>(n), 0);
-  applied[0] = 1;  // the root is never applied
-
-  // Gusfield apply step: record the cut, re-hang the unapplied vertices
-  // that fell on i's side, splice if j's parent did too. With in-order
-  // processing "unapplied" is exactly "k > i", so this is byte-identical
-  // to the classic loop.
-  auto apply = [&](GraphVertexId i, const EdgeCutResult& cut) {
-    const GraphVertexId j = tree.parent[static_cast<std::size_t>(i)];
-    tree.parent_cut[static_cast<std::size_t>(i)] = cut.value;
-    applied[static_cast<std::size_t>(i)] = 1;
-    for (GraphVertexId k = 1; k < n; ++k) {
-      if (!applied[static_cast<std::size_t>(k)] &&
-          tree.parent[static_cast<std::size_t>(k)] == j &&
-          cut.source_side[static_cast<std::size_t>(k)]) {
-        tree.parent[static_cast<std::size_t>(k)] = i;
-      }
-    }
-    // Classic Gusfield fix-up: if j's parent is on i's side, splice i
-    // between j and its parent.
-    const GraphVertexId pj = tree.parent[static_cast<std::size_t>(j)];
-    if (pj != -1 && cut.source_side[static_cast<std::size_t>(pj)]) {
-      tree.parent[static_cast<std::size_t>(i)] = pj;
-      tree.parent_cut[static_cast<std::size_t>(i)] =
-          tree.parent_cut[static_cast<std::size_t>(j)];
-      tree.parent[static_cast<std::size_t>(j)] = i;
-      tree.parent_cut[static_cast<std::size_t>(j)] = cut.value;
-    }
-    ++out.applied;
-    if (run != nullptr) run->note_piece();
-  };
-
-  bool interrupted = false;
-  if (options_.reuse == FlowReuse::kArenaAndCuts) {
-    // Deterministic virtual batches with pairwise-distinct parents: every
-    // speculative flow is applied, none recomputed (see
-    // select_distinct_parent_batch).
-    std::vector<char> taken(static_cast<std::size_t>(n), 0);
-    std::vector<GraphVertexId> batch;
-    std::vector<EdgeCutResult> speculative;
-    while (out.applied + 1 < n && !interrupted) {
-      select_distinct_parent_batch(tree.parent, applied, taken, batch);
-      HT_DCHECK(!batch.empty());
-      speculative.assign(batch.size(), EdgeCutResult{});
-      if (batch.size() > 1) {
-        parallel_for(batch.size(), [&](std::size_t t) {
-          speculative[t] = min_edge_cut(
-              g, {batch[t]},
-              {tree.parent[static_cast<std::size_t>(batch[t])]});
-        });
-      }
-      for (std::size_t t = 0; t < batch.size(); ++t) {
-        if (run != nullptr && !run->check().ok()) {
-          interrupted = true;
-          break;
-        }
-        const GraphVertexId i = batch[t];
-        const EdgeCutResult cut =
-            batch.size() > 1
-                ? std::move(speculative[t])
-                : min_edge_cut(
-                      g, {i}, {tree.parent[static_cast<std::size_t>(i)]});
-        if (!cut.complete) {
-          interrupted = true;
-          break;
-        }
-        apply(i, cut);
-      }
-      std::fill(taken.begin(), taken.end(), 0);
-    }
-  } else {
-    // Batched speculation: the (i, parent[i]) max-flow subproblems of a
-    // batch are independent given a parent snapshot, so they run over the
-    // pool; a cut is applied only when i's parent is unchanged at apply
-    // time, otherwise it is recomputed against the live parent. The
-    // applied sequence is therefore exactly the serial Gusfield run —
-    // identical for every thread count and batch size.
-    const auto batch_size = static_cast<GraphVertexId>(
-        std::max<std::size_t>(1, ThreadPool::global().size()));
-    for (GraphVertexId lo = 1; lo < n && !interrupted; lo += batch_size) {
-      const GraphVertexId hi = std::min<GraphVertexId>(n, lo + batch_size);
-      const auto count = static_cast<std::size_t>(hi - lo);
-      std::vector<GraphVertexId> snapshot(count);
-      for (std::size_t t = 0; t < count; ++t)
-        snapshot[t] = tree.parent[static_cast<std::size_t>(lo) + t];
-      std::vector<EdgeCutResult> speculative(count);
-      if (count > 1) {
-        parallel_for(count, [&](std::size_t t) {
-          speculative[t] = min_edge_cut(
-              g, {lo + static_cast<GraphVertexId>(t)}, {snapshot[t]});
-        });
-      }
-      for (GraphVertexId i = lo; i < hi; ++i) {
-        // Anytime stop, at the serial apply boundary only: vertices
-        // before i keep their exact cuts, i and beyond stay provisional.
-        // An interrupted (incomplete) flow is never applied — its witness
-        // need not separate.
-        if (run != nullptr && !run->check().ok()) {
-          interrupted = true;
-          break;
-        }
-        const GraphVertexId j = tree.parent[static_cast<std::size_t>(i)];
-        const std::size_t t = static_cast<std::size_t>(i - lo);
-        const EdgeCutResult cut = (count > 1 && snapshot[t] == j)
-                                      ? std::move(speculative[t])
-                                      : min_edge_cut(g, {i}, {j});
-        if (!cut.complete) {
-          interrupted = true;
-          break;
-        }
-        apply(i, cut);
-      }
-    }
-  }
-  out.status = interrupted && run != nullptr ? run->status() : Status::Ok();
+  run_gusfield(
+      n, out,
+      [&](GraphVertexId i, GraphVertexId j) {
+        return min_edge_cut(g, {i}, {j});
+      },
+      [&](GraphVertexId i, const EdgeCutResult& cut) {
+        gusfield_apply(out.tree, i, cut.value, cut.source_side);
+      });
   trace.arg("applied", out.applied);
   return out;
 }
@@ -650,142 +400,45 @@ HypergraphGomoryHuRunResult CutEngine::gomory_hu(const Hypergraph& h) const {
   trace.arg("n", n);
   trace.arg("m", h.num_edges());
   ht::PhaseTimer phase("gomory_hu.hypergraph");
-  RunState* run = current_run_state();
   HypergraphGomoryHuRunResult out;
-  HypergraphGomoryHuTree& tree = out.tree;
-  tree.root = 0;
-  tree.parent.assign(static_cast<std::size_t>(n), 0);
-  tree.parent[0] = -1;
-  tree.parent_cut.assign(static_cast<std::size_t>(n), 0.0);
-  std::vector<char> applied(static_cast<std::size_t>(n), 0);
-  applied[0] = 1;
-
   const auto m = static_cast<std::size_t>(h.num_edges());
-  auto apply = [&](HyperVertexId i, const HyperedgeCutResult& cut) {
-    const HyperVertexId j = tree.parent[static_cast<std::size_t>(i)];
-    tree.parent_cut[static_cast<std::size_t>(i)] = cut.value;
-    applied[static_cast<std::size_t>(i)] = 1;
-    // Source side of the canonical minimum cut: vertices still reachable
-    // from i after removing the cut hyperedges. The scratch is per-apply
-    // and pool-allocated — n-1 applies reuse the same chunk.
-    PieceAllocator::Scope scope(WorkArena::local().pieces());
-    auto removed = scope.alloc_zero<char>(m);
-    auto edge_done = scope.alloc_zero<char>(m);
-    auto reachable = scope.alloc_zero<char>(static_cast<std::size_t>(n));
-    auto stack = scope.alloc<HyperVertexId>(static_cast<std::size_t>(n));
-    std::int32_t top = 0;
-    for (auto e : cut.cut_edges) removed[static_cast<std::size_t>(e)] = 1;
-    stack[top++] = i;
-    reachable[static_cast<std::size_t>(i)] = 1;
-    while (top > 0) {
-      const HyperVertexId v = stack[--top];
-      for (auto e : h.incident_edges(v)) {
-        if (removed[static_cast<std::size_t>(e)] ||
-            edge_done[static_cast<std::size_t>(e)])
-          continue;
-        edge_done[static_cast<std::size_t>(e)] = 1;
-        for (auto u : h.pins(e)) {
-          if (!reachable[static_cast<std::size_t>(u)]) {
-            reachable[static_cast<std::size_t>(u)] = 1;
-            stack[top++] = u;
+  run_gusfield(
+      n, out,
+      [&](HyperVertexId i, HyperVertexId j) {
+        return min_hyperedge_cut(h, {i}, {j});
+      },
+      [&](HyperVertexId i, const HyperedgeCutResult& cut) {
+        // Source side of the canonical minimum cut: vertices still
+        // reachable from i after removing the cut hyperedges. The scratch
+        // is per-apply and pool-allocated — n-1 applies reuse one chunk.
+        PieceAllocator::Scope scope(WorkArena::local().pieces());
+        auto removed = scope.alloc_zero<char>(m);
+        auto edge_done = scope.alloc_zero<char>(m);
+        auto reachable = scope.alloc_zero<char>(static_cast<std::size_t>(n));
+        auto stack = scope.alloc<HyperVertexId>(static_cast<std::size_t>(n));
+        std::int32_t top = 0;
+        for (auto e : cut.cut_edges) removed[static_cast<std::size_t>(e)] = 1;
+        stack[top++] = i;
+        reachable[static_cast<std::size_t>(i)] = 1;
+        while (top > 0) {
+          const HyperVertexId v = stack[--top];
+          for (auto e : h.incident_edges(v)) {
+            if (removed[static_cast<std::size_t>(e)] ||
+                edge_done[static_cast<std::size_t>(e)])
+              continue;
+            edge_done[static_cast<std::size_t>(e)] = 1;
+            for (auto u : h.pins(e)) {
+              if (!reachable[static_cast<std::size_t>(u)]) {
+                reachable[static_cast<std::size_t>(u)] = 1;
+                stack[top++] = u;
+              }
+            }
           }
         }
-      }
-    }
-    HT_CHECK(!reachable[static_cast<std::size_t>(j)]);
-    for (HyperVertexId k = 1; k < n; ++k) {
-      if (!applied[static_cast<std::size_t>(k)] &&
-          tree.parent[static_cast<std::size_t>(k)] == j &&
-          reachable[static_cast<std::size_t>(k)]) {
-        tree.parent[static_cast<std::size_t>(k)] = i;
-      }
-    }
-    const HyperVertexId pj = tree.parent[static_cast<std::size_t>(j)];
-    if (pj != -1 && reachable[static_cast<std::size_t>(pj)]) {
-      tree.parent[static_cast<std::size_t>(i)] = pj;
-      tree.parent_cut[static_cast<std::size_t>(i)] =
-          tree.parent_cut[static_cast<std::size_t>(j)];
-      tree.parent[static_cast<std::size_t>(j)] = i;
-      tree.parent_cut[static_cast<std::size_t>(j)] = cut.value;
-    }
-    ++out.applied;
-    if (run != nullptr) run->note_piece();
-  };
-
-  bool interrupted = false;
-  if (options_.reuse == FlowReuse::kArenaAndCuts) {
-    std::vector<char> taken(static_cast<std::size_t>(n), 0);
-    std::vector<HyperVertexId> batch;
-    std::vector<HyperedgeCutResult> speculative;
-    while (out.applied + 1 < n && !interrupted) {
-      select_distinct_parent_batch(tree.parent, applied, taken, batch);
-      HT_DCHECK(!batch.empty());
-      speculative.assign(batch.size(), HyperedgeCutResult{});
-      if (batch.size() > 1) {
-        parallel_for(batch.size(), [&](std::size_t t) {
-          speculative[t] = min_hyperedge_cut(
-              h, {batch[t]},
-              {tree.parent[static_cast<std::size_t>(batch[t])]});
-        });
-      }
-      for (std::size_t t = 0; t < batch.size(); ++t) {
-        if (run != nullptr && !run->check().ok()) {
-          interrupted = true;
-          break;
-        }
-        const HyperVertexId i = batch[t];
-        const HyperedgeCutResult cut =
-            batch.size() > 1
-                ? std::move(speculative[t])
-                : min_hyperedge_cut(
-                      h, {i}, {tree.parent[static_cast<std::size_t>(i)]});
-        if (!cut.complete) {
-          interrupted = true;
-          break;
-        }
-        apply(i, cut);
-      }
-      std::fill(taken.begin(), taken.end(), 0);
-    }
-  } else {
-    // Batched speculation over the pool (see the graph builder): flows
-    // for a parent snapshot run concurrently; stale ones are recomputed
-    // serially, so the applied sequence is exactly the serial Gusfield
-    // run.
-    const auto batch_size = static_cast<HyperVertexId>(
-        std::max<std::size_t>(1, ThreadPool::global().size()));
-    for (HyperVertexId lo = 1; lo < n && !interrupted; lo += batch_size) {
-      const HyperVertexId hi = std::min<HyperVertexId>(n, lo + batch_size);
-      const auto count = static_cast<std::size_t>(hi - lo);
-      std::vector<HyperVertexId> snapshot(count);
-      for (std::size_t t = 0; t < count; ++t)
-        snapshot[t] = tree.parent[static_cast<std::size_t>(lo) + t];
-      std::vector<HyperedgeCutResult> speculative(count);
-      if (count > 1) {
-        parallel_for(count, [&](std::size_t t) {
-          speculative[t] = min_hyperedge_cut(
-              h, {lo + static_cast<HyperVertexId>(t)}, {snapshot[t]});
-        });
-      }
-      for (HyperVertexId i = lo; i < hi; ++i) {
-        if (run != nullptr && !run->check().ok()) {
-          interrupted = true;
-          break;
-        }
-        const HyperVertexId j = tree.parent[static_cast<std::size_t>(i)];
-        const std::size_t t = static_cast<std::size_t>(i - lo);
-        const HyperedgeCutResult cut = (count > 1 && snapshot[t] == j)
-                                           ? std::move(speculative[t])
-                                           : min_hyperedge_cut(h, {i}, {j});
-        if (!cut.complete) {
-          interrupted = true;
-          break;
-        }
-        apply(i, cut);
-      }
-    }
-  }
-  out.status = interrupted && run != nullptr ? run->status() : Status::Ok();
+        HT_CHECK(!reachable[static_cast<std::size_t>(
+            out.tree.parent[static_cast<std::size_t>(i)])]);
+        gusfield_apply(out.tree, i, cut.value, reachable);
+      });
   trace.arg("applied", out.applied);
   return out;
 }

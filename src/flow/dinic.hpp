@@ -1,10 +1,10 @@
 // Dinic max-flow on a directed network, templated on capacity type.
 //
-// Used throughout the library with Cap = double: the clique expansion of
-// Lemma 1 produces capacities 1/(|h|-1), so integral flow is not available.
-// All comparisons go through a relative epsilon; every cut this solver
-// produces is re-evaluated combinatorially by its caller, so floating-point
-// slack cannot corrupt reported cut values.
+// The library's solver is the arena Dinic in flow_network.hpp; this
+// standalone template is the independent reference the tests cross-check
+// it against on instances larger than brute force reaches. All
+// comparisons go through a relative epsilon (the clique expansion of
+// Lemma 1 produces capacities 1/(|h|-1), so Cap is usually double).
 #pragma once
 
 #include <cstdint>

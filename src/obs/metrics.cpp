@@ -47,8 +47,10 @@ void Histogram::reset() {
 }
 
 MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
-  return registry;
+  // Never destroyed: pool workers joined during static teardown (and
+  // function-local references cached by callers) may still record.
+  static MetricsRegistry* registry = new MetricsRegistry();
+  return *registry;
 }
 
 Counter& MetricsRegistry::counter(const std::string& name) {

@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "cuttree/tree.hpp"
-#include "flow/hypergraph_gomory_hu.hpp"
+#include "flow/cut_engine.hpp"
 #include "serve/snapshot_reader.hpp"
 #include "util/run_context.hpp"
 #include "util/status.hpp"

@@ -24,8 +24,11 @@ PerfCounters::PerfCounters()
       peak_arena_bytes_(registry().gauge("arena.peak_bytes")) {}
 
 PerfCounters& PerfCounters::global() {
-  static PerfCounters counters;
-  return counters;
+  // Never destroyed, like MetricsRegistry::global(): a pool worker counts
+  // its task after resolving the caller's future, so it can still be
+  // running when main returns.
+  static PerfCounters* counters = new PerfCounters();
+  return *counters;
 }
 
 double PerfCounters::arena_hit_rate() const {

@@ -96,8 +96,8 @@ struct RunContext {
   std::size_t threads = 0;
   /// Overrides the per-algorithm options seed when set (ht::Solver).
   std::optional<std::uint64_t> seed;
-  /// Deadline/cancel poll cadence inside flow augmentation loops, in
-  /// augmenting rounds (Dinic BFS phases; push-relabel discharge chunks).
+  /// Deadline/cancel poll cadence inside the max-flow solver, in Dinic
+  /// BFS phases.
   std::uint32_t flow_check_rounds = 4;
   /// Chrome-trace output path (from HT_TRACE in FromEnv()); empty = off.
   std::string trace_path;

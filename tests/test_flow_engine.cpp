@@ -171,7 +171,9 @@ TEST(FlowEngine, ReuseCountersShowReuse) {
   EXPECT_GT(counters.peak_arena_bytes(), 0u);
 }
 
-TEST(FlowEngine, PushRelabelAgreesWithDinicOnArena) {
+TEST(FlowEngine, ArenaAgreesWithReferenceDinic) {
+  // The arena solver against the standalone Dinic<double> on the same
+  // instances — larger than the brute-force property tests reach.
   ht::Rng rng(56);
   for (int round = 0; round < 8; ++round) {
     const auto n = static_cast<std::int32_t>(12 + rng.next_below(24));
@@ -184,18 +186,12 @@ TEST(FlowEngine, PushRelabelAgreesWithDinicOnArena) {
     net.reset();
     net.attach_source(s);
     net.attach_sink(t);
-    const double dinic_flow = net.max_flow();
-    net.reset();
-    net.attach_source(s);
-    net.attach_sink(t);
-    const double pr_flow = net.max_flow_push_relabel();
-    EXPECT_NEAR(dinic_flow, pr_flow, 1e-6);
-    // Cross-check against the standalone Dinic on the same instance.
+    const double arena_flow = net.max_flow();
     ht::flow::Dinic<double> ref(n + 2);
     for (const auto& e : g.edges()) ref.add_undirected(e.u, e.v, e.weight);
     ref.add_arc(n, s, ht::flow::kInfiniteCapacity);
     ref.add_arc(t, n + 1, ht::flow::kInfiniteCapacity);
-    EXPECT_NEAR(dinic_flow, ref.max_flow(n, n + 1), 1e-6);
+    EXPECT_NEAR(arena_flow, ref.max_flow(n, n + 1), 1e-6);
   }
 }
 
@@ -356,138 +352,38 @@ TEST(FlowEngineGolden, GoldensHoldWithReuseDisabled) {
   }
 }
 
-
-TEST(FlowEngineGolden, GoldensHoldUnderCertificateAndThreadCount) {
-  // The certificate path must not move a byte: rejected sparsifications
-  // fall back to the full network, accepted ones provably return the
-  // canonical cut. Checked at 1 and 4 threads, certificate on and off —
-  // all four combinations must reproduce the pre-refactor hashes.
+TEST(FlowEngineGolden, GoldensHoldAcrossThreadCounts) {
+  // Batched speculation must not move a byte: at 1 and 4 threads both
+  // Gomory–Hu builders reproduce the pre-refactor hashes.
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     ht::ThreadPool::reset_global(threads);
-    for (const bool certificate : {false, true}) {
-      ht::FlowOptions options;
-      options.certificate = certificate;
-      {
-        ht::Rng rng(1313);
-        const auto g = ht::graph::gnp_connected(60, 6.0 / 60, rng);
-        const auto t = ht::CutEngine(options).gomory_hu(g).tree;
-        EXPECT_EQ(hash_hex(gomory_hu_string(t.parent, t.parent_cut)),
-                  "7d301c7c0431f7f7")
-            << "threads=" << threads << " certificate=" << certificate;
-      }
-      {
-        ht::Rng rng(99);
-        const auto h = ht::hypergraph::random_uniform(36, 70, 3, rng);
-        const auto t = ht::CutEngine(options).gomory_hu(h).tree;
-        EXPECT_EQ(hash_hex(gomory_hu_string(t.parent, t.parent_cut)),
-                  "89aacea13cfa79eb")
-            << "threads=" << threads << " certificate=" << certificate;
-      }
+    {
+      ht::Rng rng(1313);
+      const auto g = ht::graph::gnp_connected(60, 6.0 / 60, rng);
+      const auto t = ht::CutEngine().gomory_hu(g).tree;
+      EXPECT_EQ(hash_hex(gomory_hu_string(t.parent, t.parent_cut)),
+                "7d301c7c0431f7f7")
+          << "threads=" << threads;
+    }
+    {
+      ht::Rng rng(99);
+      const auto h = ht::hypergraph::random_uniform(36, 70, 3, rng);
+      const auto t = ht::CutEngine().gomory_hu(h).tree;
+      EXPECT_EQ(hash_hex(gomory_hu_string(t.parent, t.parent_cut)),
+                "89aacea13cfa79eb")
+          << "threads=" << threads;
     }
   }
   ht::ThreadPool::reset_global();
-}
-
-TEST(FlowEngine, CertificateMatchesFullSolveOnPointQueries) {
-  ht::Rng rng(61);
-  const ht::CutEngine plain;
-  const ht::CutEngine certified({.certificate = true});
-  for (int round = 0; round < 10; ++round) {
-    const auto n = static_cast<std::int32_t>(24 + rng.next_below(40));
-    const auto g = ht::graph::gnp_connected(n, 5.0 / n, rng);
-    for (int q = 0; q < 5; ++q) {
-      std::vector<char> taken(static_cast<std::size_t>(n), 0);
-      const auto a = random_terminals(rng, n, taken);
-      const auto b = random_terminals(rng, n, taken);
-      if (a.empty() || b.empty()) continue;
-      const auto full = plain.min_edge_cut(g, a, b);
-      const auto sparse = certified.min_edge_cut(g, a, b);
-      EXPECT_EQ(full.value, sparse.value);
-      EXPECT_EQ(full.cut_edges, sparse.cut_edges);
-      EXPECT_EQ(full.source_side, sparse.source_side);
-    }
-  }
-  for (int round = 0; round < 8; ++round) {
-    const auto n = static_cast<std::int32_t>(16 + rng.next_below(24));
-    const auto h = ht::hypergraph::random_uniform(n, 2 * n, 3, rng);
-    for (int q = 0; q < 5; ++q) {
-      std::vector<char> taken(static_cast<std::size_t>(n), 0);
-      const auto a = random_terminals(rng, n, taken);
-      const auto b = random_terminals(rng, n, taken);
-      if (a.empty() || b.empty()) continue;
-      const auto full = plain.min_hyperedge_cut(h, a, b);
-      const auto sparse = certified.min_hyperedge_cut(h, a, b);
-      EXPECT_EQ(full.value, sparse.value);
-      EXPECT_EQ(full.cut_edges, sparse.cut_edges);
-    }
-  }
-}
-
-TEST(FlowEngine, CertificateActuallyDropsEdges) {
-  // On a dense-ish graph the degree bound is far below most CAPFOREST
-  // values, so the sparsifier must kick in (queries and dropped edges
-  // both counted), and the answers above already pinned correctness.
-  auto& queries = ht::obs::MetricsRegistry::global().counter(
-      "flow.certificate_queries");
-  auto& dropped = ht::obs::MetricsRegistry::global().counter(
-      "flow.certificate_dropped_edges");
-  const auto queries_before = queries.value();
-  const auto dropped_before = dropped.value();
-  ht::Rng rng(62);
-  const auto g = ht::graph::gnp_connected(80, 16.0 / 80, rng);
-  const ht::CutEngine certified({.certificate = true});
-  (void)certified.gomory_hu(g);
-  EXPECT_GT(queries.value(), queries_before);
-  EXPECT_GT(dropped.value(), dropped_before);
-}
-
-TEST(FlowEngine, ArenaAndCutsTreeIsDeterministicAndValid) {
-  // FlowReuse::kArenaAndCuts reorders the Gomory–Hu applies (distinct-
-  // parent virtual batches), so the tree SHAPE may differ from the
-  // default — but it must (a) be identical for every thread count and
-  // (b) encode exactly the same min-cut value for every vertex pair.
-  ht::Rng rng(63);
-  const auto g = ht::graph::gnp_connected(48, 6.0 / 48, rng);
-  ht::FlowOptions options;
-  options.reuse = ht::FlowReuse::kArenaAndCuts;
-  ht::ThreadPool::reset_global(1);
-  const auto one = ht::CutEngine(options).gomory_hu(g).tree;
-  ht::ThreadPool::reset_global(4);
-  const auto four = ht::CutEngine(options).gomory_hu(g).tree;
-  ht::ThreadPool::reset_global();
-  EXPECT_EQ(gomory_hu_string(one.parent, one.parent_cut),
-            gomory_hu_string(four.parent, four.parent_cut));
-  const auto reference = ht::CutEngine().gomory_hu(g).tree;
-  for (ht::graph::VertexId s = 0; s < g.num_vertices(); ++s)
-    for (ht::graph::VertexId t = s + 1; t < g.num_vertices(); ++t)
-      EXPECT_NEAR(one.min_cut(s, t), reference.min_cut(s, t), 1e-9)
-          << "pair (" << s << ", " << t << ")";
-
-  ht::Rng hrng(64);
-  const auto h = ht::hypergraph::random_uniform(28, 56, 3, hrng);
-  ht::ThreadPool::reset_global(1);
-  const auto hone = ht::CutEngine(options).gomory_hu(h).tree;
-  ht::ThreadPool::reset_global(4);
-  const auto hfour = ht::CutEngine(options).gomory_hu(h).tree;
-  ht::ThreadPool::reset_global();
-  EXPECT_EQ(gomory_hu_string(hone.parent, hone.parent_cut),
-            gomory_hu_string(hfour.parent, hfour.parent_cut));
-  const auto href = ht::CutEngine().gomory_hu(h).tree;
-  for (ht::hypergraph::VertexId s = 0; s < h.num_vertices(); ++s)
-    for (ht::hypergraph::VertexId t = s + 1; t < h.num_vertices(); ++t)
-      EXPECT_NEAR(hone.min_cut(s, t), href.min_cut(s, t), 1e-9)
-          << "pair (" << s << ", " << t << ")";
 }
 
 TEST(FlowEngine, PoolAllocatorMetricsRegister) {
-  // Push-relabel per-solve scratch and the per-query terminal marks come
-  // from the thread's PieceAllocator; after a few queries the pool gauge
-  // and the reuse counter must both be live.
+  // The per-query terminal marks come from the thread's PieceAllocator;
+  // after a few queries the pool gauge and the reuse counter must both be
+  // live.
   ht::Rng rng(65);
   const auto g = ht::graph::gnp_connected(40, 5.0 / 40, rng);
-  ht::FlowOptions options;
-  options.algorithm = ht::FlowAlgorithm::kPushRelabel;
-  const ht::CutEngine engine(options);
+  const ht::CutEngine engine;
   auto& reuse = ht::obs::MetricsRegistry::global().counter("flow.pool_reuse");
   const auto reuse_before = reuse.value();
   for (int q = 0; q < 4; ++q)

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <set>
 #include <sstream>
@@ -515,6 +516,32 @@ TEST(Metrics, PhaseTimesSortedByName) {
   EXPECT_LT(report.find("alpha.phase"), report.find("mid.phase"));
   EXPECT_LT(report.find("mid.phase"), report.find("zeta.phase"));
   pc.reset();
+}
+
+// A pool worker counts its task after resolving the caller's future, so it
+// can touch the metric singletons after main has returned. They must
+// outlive static teardown. The handler is registered before the
+// singletons are first touched, so it runs after any destructor they
+// would have; under ASan a destroyed singleton is a heap-use-after-free.
+void touch_metric_singletons_at_exit() {
+  ht::PerfCounters::global().add_task();
+  ht::obs::MetricsRegistry::global().counter("test.after_teardown").add();
+}
+
+TEST(MetricsDeathTest, SingletonsOutliveStaticTeardown) {
+  // "threadsafe" re-executes the binary for this test alone, so the child
+  // starts with untouched singletons.
+  const std::string style = ::testing::GTEST_FLAG(death_test_style);
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        std::atexit(touch_metric_singletons_at_exit);
+        ht::PerfCounters::global().add_task();
+        ht::obs::MetricsRegistry::global().counter("test.before_exit").add();
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
+  ::testing::GTEST_FLAG(death_test_style) = style;
 }
 
 // ----------------------------------------------------------------- tracer

@@ -395,10 +395,14 @@ TEST(TreeServer, SwapStormUnderConcurrentQueriesDropsNothingAndLeaksNothing) {
     // reads racing live appends) and registry exports (snapshot under the
     // registration lock racing relaxed metric updates). Everything it
     // reads must stay well-formed. Runs under the tsan-serve CI job.
+    // The serve metrics register on the first query; answer one before the
+    // storm so the observer's first export already carries them.
+    ASSERT_TRUE(server->min_cut(0, 1).ok());
     std::thread observer([&] {
       while (!go.load(std::memory_order_acquire)) {
       }
-      while (!stop_observer.load(std::memory_order_acquire)) {
+      // At least one pass even if the storm ends before the thread runs.
+      do {
         const std::string flight =
             ht::obs::FlightRecorder::global().dump_json();
         EXPECT_EQ(flight.find("{\"version\":1,"), 0u);
@@ -410,7 +414,7 @@ TEST(TreeServer, SwapStormUnderConcurrentQueriesDropsNothingAndLeaksNothing) {
         EXPECT_NE(prom.find("# TYPE ht_serve_queries counter\n"),
                   std::string::npos);
         exports.fetch_add(1, std::memory_order_relaxed);
-      }
+      } while (!stop_observer.load(std::memory_order_acquire));
     });
 
     // Trace the storm so the post-join export covers spans closed across
