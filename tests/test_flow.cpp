@@ -7,6 +7,7 @@
 #include "flow/cut_engine.hpp"
 #include "graph/generators.hpp"
 #include "hypergraph/generators.hpp"
+#include "param_print.hpp"
 #include "util/rng.hpp"
 #include "util/subsets.hpp"
 
@@ -275,6 +276,11 @@ struct FlowParam {
   double p;
   std::uint64_t seed;
 };
+
+void PrintTo(const FlowParam& param, std::ostream* os) {
+  ht::test::print_zero_padded(param, os, &FlowParam::n, &FlowParam::p,
+                              &FlowParam::seed);
+}
 
 class EdgeCutProperty : public ::testing::TestWithParam<FlowParam> {};
 

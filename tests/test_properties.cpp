@@ -13,6 +13,7 @@
 #include "flow/cut_engine.hpp"
 #include "graph/generators.hpp"
 #include "hypergraph/generators.hpp"
+#include "param_print.hpp"
 #include "partition/exact.hpp"
 #include "partition/mku.hpp"
 #include "partition/sparsest_cut.hpp"
@@ -152,6 +153,11 @@ struct FuzzParam {
   std::int32_t r;
   std::uint64_t seed;
 };
+
+void PrintTo(const FuzzParam& param, std::ostream* os) {
+  ht::test::print_zero_padded(param, os, &FuzzParam::n, &FuzzParam::m,
+                              &FuzzParam::r, &FuzzParam::seed);
+}
 
 class Theorem1Fuzz : public ::testing::TestWithParam<FuzzParam> {};
 

@@ -5,6 +5,7 @@
 #include "flow/cut_engine.hpp"
 #include "graph/generators.hpp"
 #include "hypergraph/generators.hpp"
+#include "param_print.hpp"
 #include "reduction/clique_expansion.hpp"
 #include "reduction/dks_mku.hpp"
 #include "reduction/mku_bisection.hpp"
@@ -50,6 +51,11 @@ struct Lemma1Param {
   int r;
   std::uint64_t seed;
 };
+
+void PrintTo(const Lemma1Param& param, std::ostream* os) {
+  ht::test::print_zero_padded(param, os, &Lemma1Param::n, &Lemma1Param::m,
+                              &Lemma1Param::r, &Lemma1Param::seed);
+}
 
 class Lemma1Property : public ::testing::TestWithParam<Lemma1Param> {};
 
@@ -100,6 +106,11 @@ struct Lemma7Param {
   int r;
   std::uint64_t seed;
 };
+
+void PrintTo(const Lemma7Param& param, std::ostream* os) {
+  ht::test::print_zero_padded(param, os, &Lemma7Param::n, &Lemma7Param::m,
+                              &Lemma7Param::r, &Lemma7Param::seed);
+}
 
 class Lemma7Property : public ::testing::TestWithParam<Lemma7Param> {};
 
