@@ -6,10 +6,12 @@
 
 #include "graph/subset_view.hpp"
 #include "hypergraph/hypergraph.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "partition/sparsest_cut.hpp"
 #include "util/perf_counters.hpp"
 #include "util/wavefront.hpp"
+#include "util/work_arena.hpp"
 
 namespace ht::cuttree {
 
@@ -44,16 +46,45 @@ struct SplitOutcome {
   std::vector<Part> parts;        // otherwise: the sparsest-cut split
 };
 
-double singleton_cut(const Graph& g, VertexId v) {
-  std::vector<bool> single(static_cast<std::size_t>(g.num_vertices()), false);
-  single[static_cast<std::size_t>(v)] = true;
-  return g.cut_weight(single);
+/// Adjacency entries read for cluster wrappers and cut evaluations. Each
+/// level of the laminar family reads every edge at most four times (twice
+/// for the wrappers, twice for the parts' cuts), so the total stays within
+/// 4 m (height + 1) — a full-instance scan per cluster would show as ~n m.
+ht::obs::Counter& cut_eval_edges_counter() {
+  static ht::obs::Counter& c =
+      ht::obs::MetricsRegistry::global().counter("cuttree.cut_eval_edges");
+  return c;
 }
 
-double set_cut(const Graph& g, const std::vector<VertexId>& part) {
-  std::vector<bool> side(static_cast<std::size_t>(g.num_vertices()), false);
-  for (VertexId v : part) side[static_cast<std::size_t>(v)] = true;
-  return g.cut_weight(side);
+/// delta_G({v}) from v's adjacency. finalize() lists a vertex's edges in
+/// ascending edge id, so this sums in Graph::cut_weight's order and the
+/// value is bit-identical to it.
+double singleton_cut(const Graph& g, VertexId v, std::uint64_t& reads) {
+  double sum = 0.0;
+  for (const ht::graph::AdjEntry& a : g.neighbors(v))
+    sum += g.edge(a.edge).weight;
+  reads += static_cast<std::uint64_t>(g.degree(v));
+  return sum;
+}
+
+/// delta_G(part) from the part's crossing edges, where `label` is the
+/// part's value in `side` and every other vertex maps elsewhere. The edges
+/// are summed in ascending id, Graph::cut_weight's order, so the value is
+/// bit-identical to it. `crossing` is caller-owned scratch.
+double set_cut(const Graph& g, const std::vector<VertexId>& part,
+               const ht::WorkArena::Remap& side, std::int32_t label,
+               std::vector<ht::graph::EdgeId>& crossing,
+               std::uint64_t& reads) {
+  crossing.clear();
+  for (VertexId v : part) {
+    for (const ht::graph::AdjEntry& a : g.neighbors(v))
+      if (side.get(a.to) != label) crossing.push_back(a.edge);
+    reads += static_cast<std::uint64_t>(g.degree(v));
+  }
+  std::sort(crossing.begin(), crossing.end());
+  double sum = 0.0;
+  for (ht::graph::EdgeId e : crossing) sum += g.edge(e).weight;
+  return sum;
 }
 
 }  // namespace
@@ -84,6 +115,7 @@ DecompositionTreeResult build_decomposition_tree_run(
     ht::obs::TraceSpan span("dtree.split_oracle");
     span.arg("cluster_size", vertices.size());
     SplitOutcome result;
+    std::uint64_t reads = 0;
     if (ht::run_stopped()) {
       // The run already latched a stop: the fold loop is guaranteed to
       // drain this cluster (the latch never clears), so its oracle work
@@ -96,21 +128,29 @@ DecompositionTreeResult build_decomposition_tree_run(
       result.expand_leaves = true;
       result.leaf_cuts.reserve(vertices.size());
       for (VertexId v : vertices)
-        result.leaf_cuts.push_back(singleton_cut(g, v));
+        result.leaf_cuts.push_back(singleton_cut(g, v, reads));
+      cut_eval_edges_counter().add(reads);
       span.arg("expand_leaves", 1);
       return result;
     }
 
     // Split the cluster with the sparsest cut of its induced subgraph,
-    // wrapped 2-uniform so the hypergraph oracle applies. The view lets
-    // the wrapper be built straight from the parent's edge list — the
-    // intermediate induced Graph copy is gone.
+    // wrapped 2-uniform so the hypergraph oracle applies. The wrapper is
+    // built from the cluster's own adjacency in O(vol(cluster)): inside
+    // edges are taken once (from the smaller endpoint) and added in
+    // ascending edge id, the order a scan of g.edges() would yield.
     const ht::graph::SubsetView view(g, vertices);
+    std::vector<ht::graph::EdgeId> edges;
+    for (VertexId v : vertices) {
+      for (const ht::graph::AdjEntry& a : g.neighbors(v))
+        if (v < a.to && view.contains(a.to)) edges.push_back(a.edge);
+      reads += static_cast<std::uint64_t>(g.degree(v));
+    }
+    std::sort(edges.begin(), edges.end());
     ht::hypergraph::Hypergraph wrapper(view.size());
-    for (const auto& e : g.edges()) {
-      const VertexId nu = view.local_of(e.u);
-      const VertexId nv = view.local_of(e.v);
-      if (nu != -1 && nv != -1) wrapper.add_edge({nu, nv}, e.weight);
+    for (ht::graph::EdgeId id : edges) {
+      const ht::graph::Edge& e = g.edge(id);
+      wrapper.add_edge({view.local_of(e.u), view.local_of(e.v)}, e.weight);
     }
     wrapper.finalize();
 
@@ -141,14 +181,23 @@ DecompositionTreeResult build_decomposition_tree_run(
         parts.push_back(std::move(large));
       }
     }
-    for (auto& part : parts) {
+    // Label every vertex with its part (the oracle may have reused this
+    // thread's remap, so the view's is not trusted past this point).
+    ht::WorkArena::Remap side = ht::WorkArena::local().begin_remap(n);
+    for (std::size_t p = 0; p < parts.size(); ++p)
+      for (VertexId v : parts[p]) side.set(v, static_cast<std::int32_t>(p));
+    for (std::size_t p = 0; p < parts.size(); ++p) {
+      auto& part = parts[p];
       if (part.empty()) continue;
       SplitOutcome::Part out_part;
-      out_part.cut =
-          part.size() == 1 ? singleton_cut(g, part[0]) : set_cut(g, part);
+      out_part.cut = part.size() == 1
+                         ? singleton_cut(g, part[0], reads)
+                         : set_cut(g, part, side, static_cast<std::int32_t>(p),
+                                   edges, reads);
       out_part.vertices = std::move(part);
       result.parts.push_back(std::move(out_part));
     }
+    cut_eval_edges_counter().add(reads);
     span.arg("expand_leaves", 0);
     span.arg("parts", result.parts.size());
     return result;
@@ -198,13 +247,15 @@ DecompositionTreeResult build_decomposition_tree_run(
     ClusterRec& rec = recs[static_cast<std::size_t>(rec_index)];
     std::vector<ChildEntry> children;
     children.reserve(rec.vertices.size());
+    std::uint64_t reads = 0;
     for (VertexId v : rec.vertices) {
       ChildEntry leaf;
       leaf.is_leaf = true;
       leaf.vertex = v;
-      leaf.cut = singleton_cut(g, v);
+      leaf.cut = singleton_cut(g, v, reads);
       children.push_back(leaf);
     }
+    cut_eval_edges_counter().add(reads);
     rec.children = std::move(children);
   };
   const ht::Status status =

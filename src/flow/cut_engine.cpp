@@ -288,16 +288,60 @@ void gusfield_apply(Tree& tree, std::int32_t i, double value,
   }
 }
 
+/// Decides, from the measured hit rate, whether a speculative Gusfield
+/// batch pays. A W-wide batch costs about 1 + (1 - h) * W flow-times of
+/// wall for W applies when a fraction h of its speculative cuts is still
+/// valid at apply time (the misses are recomputed serially), against W
+/// flow-times serially. That model already favours speculation at h > 1/W,
+/// but it ignores what speculation costs besides wall: every worker keeps
+/// its own copy of the flow network (3.4 MB per thread for the n=6000 ring
+/// of clusters' Lawler network), the concurrent flows compete for memory
+/// bandwidth, and inside a snapshot build they take cores from the two
+/// tree builders. On that ring (h ~ 0.4) Gomory–Hu at 4 threads was slower
+/// than at 1 (2.25 s vs 2.0 s) and threw away 3,600 of 9,599 flows; on a
+/// planted bisection (h ~ 1) speculation made it 2.6x faster. So the gate
+/// opens only once kMinObserved vertices were seen and at least 3/4 of the
+/// recent ones hit. "Recent" is a decaying window: both counts halve every
+/// kWindow observations. These constants are not tuned: any threshold
+/// between the two measured hit rates decides both instances alike, and
+/// no 4-thread benchmark workload opens the gate. The decision only
+/// changes which flows run where; the applied sequence, and so the tree,
+/// is serial Gusfield either way.
+class SpeculationGate {
+ public:
+  void record(bool hit) {
+    ++observed_;
+    hits_ += hit ? 1 : 0;
+    if (++window_ == kWindow) {
+      hits_ /= 2;
+      window_ /= 2;
+    }
+  }
+  bool open() const {
+    return observed_ >= kMinObserved && 4 * hits_ >= 3 * window_;
+  }
+
+ private:
+  static constexpr std::int32_t kMinObserved = 32;
+  static constexpr std::int32_t kWindow = 256;
+  std::int64_t observed_ = 0;
+  std::int32_t hits_ = 0;
+  std::int32_t window_ = 0;
+};
+
 /// Gusfield's n-1 max flows over vertices 1..n-1 in order, shared by both
 /// Gomory–Hu builders. `cut(i, j)` answers the i-j min cut; `apply(i, c)`
 /// applies a complete cut to out.tree (via gusfield_apply).
 ///
-/// Batched speculation: the (i, parent[i]) max-flow subproblems of a batch
-/// are independent given a parent snapshot, so they run over the pool; a
-/// cut is applied only when i's parent is unchanged at apply time,
-/// otherwise it is recomputed against the live parent. The applied
-/// sequence is therefore exactly the serial Gusfield run — identical for
-/// every thread count and batch size.
+/// Vertices are taken in windows of pool-size W. At a window's start the
+/// parents of its vertices are recorded; a vertex "hits" when its parent is
+/// unchanged when it is applied. While the SpeculationGate is open, the
+/// window's (i, parent[i]) subproblems run over the pool against that
+/// snapshot, a hit applies its speculative cut and a miss is recomputed
+/// against the live parent. While it is closed, every cut is computed
+/// serially against the live parent and the hits are only counted. The
+/// applied sequence is therefore exactly the serial Gusfield run —
+/// identical for every thread count and gate decision.
 template <typename RunResult, typename CutFn, typename ApplyFn>
 void run_gusfield(std::int32_t n, RunResult& out, CutFn&& cut,
                   ApplyFn&& apply) {
@@ -308,16 +352,18 @@ void run_gusfield(std::int32_t n, RunResult& out, CutFn&& cut,
   tree.parent[0] = -1;
   tree.parent_cut.assign(static_cast<std::size_t>(n), 0.0);
   using Cut = decltype(cut(0, 0));
-  const auto batch_size = static_cast<std::int32_t>(
+  const auto width = static_cast<std::int32_t>(
       std::max<std::size_t>(1, ThreadPool::global().size()));
+  SpeculationGate gate;
   bool interrupted = false;
-  for (std::int32_t lo = 1; lo < n && !interrupted; lo += batch_size) {
-    const std::int32_t hi = std::min(n, lo + batch_size);
+  for (std::int32_t lo = 1; lo < n && !interrupted; lo += width) {
+    const std::int32_t hi = std::min(n, lo + width);
     const auto count = static_cast<std::size_t>(hi - lo);
     const std::vector<std::int32_t> snapshot(tree.parent.begin() + lo,
                                              tree.parent.begin() + hi);
-    std::vector<Cut> speculative(count);
-    if (count > 1) {
+    const bool speculate = count > 1 && gate.open();
+    std::vector<Cut> speculative(speculate ? count : 0);
+    if (speculate) {
       parallel_for(count, [&](std::size_t t) {
         speculative[t] = cut(lo + static_cast<std::int32_t>(t), snapshot[t]);
       });
@@ -333,13 +379,14 @@ void run_gusfield(std::int32_t n, RunResult& out, CutFn&& cut,
       }
       const std::int32_t j = tree.parent[static_cast<std::size_t>(i)];
       const auto t = static_cast<std::size_t>(i - lo);
-      const Cut c = (count > 1 && snapshot[t] == j) ? std::move(speculative[t])
-                                                    : cut(i, j);
+      const bool hit = snapshot[t] == j;
+      const Cut c = speculate && hit ? std::move(speculative[t]) : cut(i, j);
       if (!c.complete) {
         interrupted = true;
         break;
       }
       apply(i, c);
+      gate.record(hit);
       ++out.applied;
       if (run != nullptr) run->note_piece();
     }

@@ -155,6 +155,25 @@ Hypergraph quasi_uniform(VertexId n, double alpha, std::int32_t r,
   return h;
 }
 
+Hypergraph ring_of_clusters(std::int32_t clusters, VertexId size) {
+  HT_CHECK(clusters >= 2 && size >= 3);
+  Hypergraph h(clusters * size);
+  for (std::int32_t c = 0; c < clusters; ++c) {
+    const VertexId base = c * size;
+    std::vector<VertexId> block(static_cast<std::size_t>(size));
+    for (VertexId i = 0; i < size; ++i)
+      block[static_cast<std::size_t>(i)] = base + i;
+    h.add_edge(block);
+    for (VertexId i = 0; i + 2 < size; ++i)
+      h.add_edge({base + i, base + i + 1, base + i + 2});
+    const VertexId next = ((c + 1) % clusters) * size;
+    h.add_edge({base, next});
+    h.add_edge({base + 1, next + 1});
+  }
+  h.finalize();
+  return h;
+}
+
 Hypergraph planted_bisection(VertexId half, std::int32_t r,
                              EdgeId edges_per_side, EdgeId cross_edges,
                              ht::Rng& rng) {

@@ -63,6 +63,13 @@ Hypergraph planted_bisection(VertexId half, std::int32_t r,
                              EdgeId edges_per_side, EdgeId cross_edges,
                              ht::Rng& rng);
 
+/// Ring of `clusters` blocks of `size` >= 3 vertices (the benches' scaling
+/// family): per block one hyperedge over all members and a lattice of
+/// 3-pin edges over consecutive members, and two 2-pin edges joining the
+/// block's first two vertices to the next block's. Deterministic, unit
+/// weights, connected; every block-border cut of the ring costs 4.
+Hypergraph ring_of_clusters(std::int32_t clusters, VertexId size);
+
 /// Planted k-community instance: `parts` groups of `per` vertices,
 /// `edges_per_part` r-uniform edges inside each group, `cross_edges`
 /// spanning two random groups. The planted partition has connectivity

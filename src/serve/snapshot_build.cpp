@@ -1,6 +1,8 @@
 #include "serve/snapshot_build.hpp"
 
 #include <cstring>
+#include <functional>
+#include <iterator>
 #include <optional>
 #include <span>
 #include <string>
@@ -13,6 +15,7 @@
 #include "reduction/clique_expansion.hpp"
 #include "reduction/star_expansion.hpp"
 #include "util/run_context.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ht::snapshot {
 
@@ -131,10 +134,19 @@ StatusOr<std::string> build(const Hypergraph& h, const BuildOptions& options,
   Writer writer;
   writer.set_timestamp(options.timestamp_unix_s);
 
+  // The three artifacts are independent builds over `stored`. Each builder
+  // writes only its own arrays and its own BuildReport/MetaBlock fields;
+  // the shared completeness bits are merged after the join.
+  bool gh_complete = false;
+  bool vct_complete = false;
+  bool decomp_complete = false;
+
   // Gomory–Hu tree: exact min s-t cut answers. Needs connectivity.
   std::vector<std::int32_t> gh_parent;
   std::vector<double> gh_parent_cut;
-  if (options.include_gomory_hu && hypergraph::is_connected(stored)) {
+  const auto build_gomory_hu = [&] {
+    if (!options.include_gomory_hu || !hypergraph::is_connected(stored))
+      return;
     const auto gh = CutEngine().gomory_hu(stored);
     rep.gomory_hu_status = gh.status;
     rep.gomory_hu_present = true;
@@ -142,14 +154,15 @@ StatusOr<std::string> build(const Hypergraph& h, const BuildOptions& options,
     gh_parent_cut = gh.tree.parent_cut;
     meta.gh_root = gh.tree.root;
     meta.gh_applied = gh.applied;
-    if (gh.status.ok()) meta.artifact_flags |= kGomoryHuComplete;
-  }
+    gh_complete = gh.status.ok();
+  };
 
   // Section 3.1 vertex cut tree of the star expansion (Corollary 3's
   // serving artifact: bisection + set-cut queries become tree DPs).
   std::optional<TreeArrays> vct;
   std::vector<std::int32_t> vct_separators;
-  if (options.include_vertex_cut_tree) {
+  const auto build_vct = [&] {
+    if (!options.include_vertex_cut_tree) return;
     const auto star = reduction::star_expansion(stored);
     cuttree::VertexCutTreeOptions vct_options;
     vct_options.seed = options.seed;
@@ -167,13 +180,14 @@ StatusOr<std::string> build(const Hypergraph& h, const BuildOptions& options,
     meta.vct_separator_weight = result.separator_weight;
     meta.vct_threshold = result.threshold;
     meta.vct_root = result.tree.root();
-    if (result.status.ok()) meta.artifact_flags |= kVertexCutTreeComplete;
-  }
+    vct_complete = result.status.ok();
+  };
 
   // Decomposition tree of the clique expansion (k-way queries via the
   // edge-cut tree DP, Lemma 1 distortion).
   std::optional<TreeArrays> decomp;
-  if (options.include_decomposition) {
+  const auto build_decomp = [&] {
+    if (!options.include_decomposition) return;
     graph::Graph expansion = reduction::clique_expansion(stored);
     if (!expansion.finalized()) expansion.finalize();
     cuttree::DecompositionOptions decomp_options;
@@ -186,8 +200,28 @@ StatusOr<std::string> build(const Hypergraph& h, const BuildOptions& options,
     decomp.emplace(result.tree);
     meta.decomp_num_nodes = result.tree.num_nodes();
     meta.decomp_root = result.tree.root();
-    if (result.status.ok()) meta.artifact_flags |= kDecompositionComplete;
+    decomp_complete = result.status.ok();
+  };
+
+  // Build the artifacts concurrently on the pool. Gomory–Hu, the longest
+  // serial chain, is item 0 so it is claimed first. Every builder is
+  // deterministic on its own, so the bytes do not depend on the schedule.
+  // parallel_for runs the items in order on a one-thread pool, which has no
+  // spare core. A piece budget also keeps the serial order: note_piece()
+  // counts across all three builders, so an interleaved run would stop at
+  // a schedule-dependent piece.
+  const std::function<void()> builders[] = {build_gomory_hu, build_vct,
+                                            build_decomp};
+  const RunState* run = current_run_state();
+  if (run != nullptr && run->context().piece_budget != 0) {
+    for (const auto& builder : builders) builder();
+  } else {
+    parallel_for(std::size(builders),
+                 [&builders](std::size_t i) { builders[i](); });
   }
+  if (gh_complete) meta.artifact_flags |= kGomoryHuComplete;
+  if (vct_complete) meta.artifact_flags |= kVertexCutTreeComplete;
+  if (decomp_complete) meta.artifact_flags |= kDecompositionComplete;
 
   writer.add_meta(meta);
   writer.add_span(SectionKind::kVertexWeights, to_span(vertex_weights));

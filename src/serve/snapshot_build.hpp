@@ -17,6 +17,11 @@
 // semantics: a deadline mid-build yields partial-but-valid dominating
 // trees whose completeness bits are cleared in the MetaBlock, so a server
 // can distinguish exact answers from degraded ones.
+//
+// The three tree artifacts are built concurrently on the global pool, and
+// serially (Gomory–Hu, vertex cut tree, decomposition tree) on a one-thread
+// pool or when the RunContext carries a piece budget, whose count spans
+// all three builders. The bytes are the same either way.
 #pragma once
 
 #include <cstdint>

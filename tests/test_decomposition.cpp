@@ -1,15 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "cuttree/decomposition_tree.hpp"
 #include "cuttree/tree_edge_partition.hpp"
 #include "flow/cut_engine.hpp"
 #include "graph/generators.hpp"
 #include "hypergraph/generators.hpp"
+#include "obs/metrics.hpp"
 #include "partition/exact.hpp"
 #include "partition/graph_bisection.hpp"
 #include "partition/unbalanced_kcut.hpp"
+#include "reduction/clique_expansion.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -41,6 +46,51 @@ TEST(DecompositionTree, LeafEdgeWeightsAreDegreeCuts) {
     std::vector<bool> single(5, false);
     single[static_cast<std::size_t>(v)] = true;
     EXPECT_DOUBLE_EQ(t.edge_weight(node), g.cut_weight(single));
+  }
+}
+
+TEST(DecompositionTree, CutEvaluationReadsFollowClusterVolume) {
+  // Wrappers and cluster cuts are computed from each cluster's own
+  // adjacency: every level of the laminar family reads each edge at most
+  // four times, so the reads stay within 4 m (height + 1). Scanning the
+  // whole instance per cluster would read ~n m instead.
+  const Hypergraph h = ht::hypergraph::ring_of_clusters(60, 10);
+  Graph g = ht::reduction::clique_expansion(h);
+  if (!g.finalized()) g.finalize();
+  auto& reads =
+      ht::obs::MetricsRegistry::global().counter("cuttree.cut_eval_edges");
+  const std::uint64_t before = reads.value();
+  const Tree t = ht::cuttree::build_decomposition_tree_run(g).tree;
+  const std::uint64_t used = reads.value() - before;
+
+  std::vector<std::int32_t> depth(static_cast<std::size_t>(t.num_nodes()), 0);
+  std::int32_t height = 0;
+  for (ht::cuttree::NodeId v = 0; v < t.num_nodes(); ++v) {
+    if (t.parent(v) == -1) continue;
+    ASSERT_LT(t.parent(v), v);  // parents are numbered before children
+    depth[static_cast<std::size_t>(v)] =
+        depth[static_cast<std::size_t>(t.parent(v))] + 1;
+    height = std::max(height, depth[static_cast<std::size_t>(v)]);
+  }
+  const auto m = static_cast<std::uint64_t>(g.num_edges());
+  EXPECT_GT(used, 0u);
+  EXPECT_LE(used, 4 * m * static_cast<std::uint64_t>(height + 1))
+      << "height " << height << ", m " << m;
+
+  // The cluster cuts are summed in Graph::cut_weight's edge order, so they
+  // are bit-identical to it, not merely close.
+  std::vector<std::vector<bool>> below(
+      static_cast<std::size_t>(t.num_nodes()),
+      std::vector<bool>(static_cast<std::size_t>(g.num_vertices()), false));
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    for (auto node = t.node_of_vertex(v); node != -1; node = t.parent(node))
+      below[static_cast<std::size_t>(node)][static_cast<std::size_t>(v)] =
+          true;
+  }
+  for (ht::cuttree::NodeId v = 0; v < t.num_nodes(); ++v) {
+    if (t.parent(v) == -1) continue;
+    const auto& side = below[static_cast<std::size_t>(v)];
+    EXPECT_EQ(t.edge_weight(v), g.cut_weight(side)) << "node " << v;
   }
 }
 

@@ -21,6 +21,7 @@
 #include "graph/generators.hpp"
 #include "hypergraph/generators.hpp"
 #include "partition/kway.hpp"
+#include "util/perf_counters.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -77,6 +78,48 @@ TEST(Determinism, HypergraphGomoryHuAcrossThreadCounts) {
   const auto h = ht::hypergraph::random_uniform(36, 70, 3, rng);
   auto [serial, parallel] =
       one_vs_four([&h] { return ht::CutEngine().gomory_hu(h).tree; });
+  EXPECT_EQ(serial.parent, parallel.parent);
+  EXPECT_EQ(serial.parent_cut, parallel.parent_cut);
+}
+
+// Max-flow calls a Gomory–Hu build issues on a `threads`-wide pool.
+std::uint64_t gomory_hu_flows(const ht::hypergraph::Hypergraph& h,
+                              std::size_t threads,
+                              ht::flow::HypergraphGomoryHuTree* tree) {
+  ht::ThreadPool::reset_global(threads);
+  const std::uint64_t before = ht::PerfCounters::global().max_flow_calls();
+  *tree = ht::CutEngine().gomory_hu(h).tree;
+  const std::uint64_t flows =
+      ht::PerfCounters::global().max_flow_calls() - before;
+  ht::ThreadPool::reset_global();
+  return flows;
+}
+
+TEST(Determinism, GomoryHuSpeculatesWhenParentsHold) {
+  // A planted bisection's Gomory–Hu tree is nearly a star, so a window's
+  // parents rarely move before they are applied: the speculation gate
+  // opens at 4 threads and the pool runs more flows than Gusfield applies,
+  // yet the applied sequence, and so the tree, is the serial one.
+  ht::Rng rng(808);
+  const auto h = ht::hypergraph::planted_bisection(150, 3, 900, 10, rng);
+  ASSERT_TRUE(ht::hypergraph::is_connected(h));
+  const auto n = static_cast<std::uint64_t>(h.num_vertices());
+  ht::flow::HypergraphGomoryHuTree serial, parallel;
+  EXPECT_EQ(gomory_hu_flows(h, 1, &serial), n - 1);
+  EXPECT_GT(gomory_hu_flows(h, 4, &parallel), n - 1);
+  EXPECT_EQ(serial.parent, parallel.parent);
+  EXPECT_EQ(serial.parent_cut, parallel.parent_cut);
+}
+
+TEST(Determinism, GomoryHuDoesNotSpeculateWhenParentsMove) {
+  // On a ring of clusters the serial run keeps re-hanging the vertices
+  // ahead of it, so most speculative cuts would be stale: the gate stays
+  // closed and 4 threads issue exactly Gusfield's n - 1 flows.
+  const auto h = ht::hypergraph::ring_of_clusters(60, 10);
+  const auto n = static_cast<std::uint64_t>(h.num_vertices());
+  ht::flow::HypergraphGomoryHuTree serial, parallel;
+  EXPECT_EQ(gomory_hu_flows(h, 1, &serial), n - 1);
+  EXPECT_EQ(gomory_hu_flows(h, 4, &parallel), n - 1);
   EXPECT_EQ(serial.parent, parallel.parent);
   EXPECT_EQ(serial.parent_cut, parallel.parent_cut);
 }

@@ -11,9 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/bisection.hpp"
@@ -31,6 +33,7 @@
 #include "util/perf_counters.hpp"
 #include "util/piece_allocator.hpp"
 #include "util/rng.hpp"
+#include "util/run_context.hpp"
 #include "util/thread_pool.hpp"
 #include "util/work_arena.hpp"
 
@@ -151,6 +154,61 @@ TEST(FlowEngine, RepeatedQueriesAreIdentical) {
   EXPECT_EQ(first.value, second.value);
   EXPECT_EQ(first.cut_edges, second.cut_edges);
   EXPECT_EQ(first.source_side, second.source_side);
+}
+
+TEST(FlowEngine, ResetAfterInterruptedSolveMatchesFreshBuild) {
+  // An interrupted solve leaves attached terminals, BFS levels and (when
+  // it stops after a phase) pushed flow on the cached network; the next
+  // queries on that same network must still answer exactly like a fresh
+  // build.
+  const auto h = ht::hypergraph::ring_of_clusters(12, 6);
+  const ht::hypergraph::VertexId last = h.num_vertices() - 1;
+  const std::vector<ht::hypergraph::VertexId> a{0, 1, 2, 3, 4, 5},
+      b{27, 28, 29};
+  auto& paths =
+      ht::obs::MetricsRegistry::global().histogram("flow.augmenting_paths");
+  auto& counters = ht::PerfCounters::global();
+  const std::uint64_t builds_before = counters.flow_builds();
+
+  // Stop latched before the solve: it breaks after its first BFS.
+  {
+    ht::RunContext ctx;
+    ctx.with_deadline_after(std::chrono::nanoseconds(0));
+    ht::RunScope scope(ctx);
+    (void)scope.state().check();
+    EXPECT_FALSE(ht::CutEngine().min_hyperedge_cut(h, a, b).complete);
+  }
+  // Stop latched by the solve's own poll after its first phase pushed.
+  {
+    ht::CancelSource cancel;
+    cancel.request_cancel();
+    ht::RunContext ctx;
+    ctx.with_cancel(cancel.token());
+    ctx.flow_check_rounds = 2;
+    ht::RunScope scope(ctx);
+    const std::uint64_t pushed_before = paths.sum();
+    EXPECT_FALSE(ht::CutEngine().min_hyperedge_cut(h, a, b).complete);
+    EXPECT_GT(paths.sum(), pushed_before);
+  }
+  // Then completed queries on the same network: the interrupted
+  // terminals, the same terminals swapped (flow left behind would now run
+  // with the new flow instead of against it), then others.
+  using Terminals = std::vector<ht::hypergraph::VertexId>;
+  const std::vector<std::pair<Terminals, Terminals>> queries{
+      {a, b}, {b, a}, {{last}, {7, 30}}, {{6}, {60}}};
+  std::vector<ht::flow::HyperedgeCutResult> reused;
+  for (const auto& [s, t] : queries)
+    reused.push_back(ht::CutEngine().min_hyperedge_cut(h, s, t));
+  EXPECT_EQ(counters.flow_builds() - builds_before, 1u);  // one network
+
+  FlowReuseScope off(false);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const auto fresh = ht::CutEngine().min_hyperedge_cut(
+        h, queries[q].first, queries[q].second);
+    EXPECT_TRUE(reused[q].complete) << "query " << q;
+    EXPECT_EQ(reused[q].value, fresh.value) << "query " << q;
+    EXPECT_EQ(reused[q].cut_edges, fresh.cut_edges) << "query " << q;
+  }
 }
 
 TEST(FlowEngine, ReuseCountersShowReuse) {

@@ -190,15 +190,20 @@ TEST(SnapshotRoundTrip, ReserializationIsByteIdentical) {
   EXPECT_EQ(0, std::memcmp(first.data(), second.data(), first.size()));
 }
 
+// At more than one pool thread the three artifacts build concurrently;
+// the ring (n = 600) is big enough for all three to overlap. The bytes
+// must not depend on how they interleaved.
 TEST(SnapshotRoundTrip, ByteIdenticalAcrossThreadCounts) {
-  const auto h = test_instance();
-  ht::ThreadPool::reset_global(1);
-  const std::string serial = build_bytes(h);
-  ht::ThreadPool::reset_global(4);
-  const std::string parallel = build_bytes(h);
-  ht::ThreadPool::reset_global();
-  ASSERT_EQ(serial.size(), parallel.size());
-  EXPECT_EQ(0, std::memcmp(serial.data(), parallel.data(), serial.size()));
+  for (const auto& h :
+       {test_instance(), ht::hypergraph::ring_of_clusters(60, 10)}) {
+    ht::ThreadPool::reset_global(1);
+    const std::string serial = build_bytes(h);
+    ht::ThreadPool::reset_global(4);
+    const std::string parallel = build_bytes(h);
+    ht::ThreadPool::reset_global();
+    ASSERT_EQ(serial.size(), parallel.size());
+    EXPECT_EQ(0, std::memcmp(serial.data(), parallel.data(), serial.size()));
+  }
 }
 
 // The ambient RunContext's thread count (the CLI's --threads / HT_THREADS
@@ -230,6 +235,41 @@ TEST(SnapshotRoundTrip, ByteIdenticalAcrossContextThreadCounts) {
   ht::RunScope scope(ctx);
   ASSERT_TRUE(ht::snapshot::build(h, options, &report).ok());
   EXPECT_EQ(report.build_threads, 3u);  // provenance lives in the report
+}
+
+// The piece budget counts across all three builders, so a budgeted build
+// keeps the serial order at any pool size: the budget below runs
+// Gomory–Hu to completion (n - 1 applied pieces) and stops inside the
+// vertex cut tree. Interleaving the builders would spend pieces on the
+// trees while Gomory–Hu is still applying, and stop it early.
+TEST(SnapshotRoundTrip, PieceBudgetStopsAtSameArtifactAcrossThreadCounts) {
+  const auto h = ht::hypergraph::ring_of_clusters(60, 10);
+  const auto budget = static_cast<std::uint64_t>(h.num_vertices() - 1) + 3;
+  const auto budgeted = [&](std::size_t threads,
+                            ht::snapshot::BuildReport* report) {
+    ht::ThreadPool::reset_global(threads);
+    ht::RunContext ctx;
+    ctx.with_piece_budget(budget);
+    ht::RunScope scope(ctx);
+    ht::snapshot::BuildOptions options;
+    options.seed = 7;
+    auto bytes = ht::snapshot::build(h, options, report);
+    EXPECT_TRUE(bytes.ok()) << bytes.status().to_string();
+    return bytes.ok() ? *bytes : std::string();
+  };
+  ht::snapshot::BuildReport serial_report, parallel_report;
+  const std::string serial = budgeted(1, &serial_report);
+  const std::string parallel = budgeted(4, &parallel_report);
+  ht::ThreadPool::reset_global();
+  for (const auto* report : {&serial_report, &parallel_report}) {
+    EXPECT_TRUE(report->gomory_hu_status.ok());
+    EXPECT_EQ(report->vertex_cut_tree_status.code(),
+              ht::StatusCode::kResourceExhausted);
+    EXPECT_EQ(report->decomposition_status.code(),
+              ht::StatusCode::kResourceExhausted);
+  }
+  EXPECT_EQ(serial.size(), parallel.size());
+  EXPECT_TRUE(serial == parallel);
 }
 
 TEST(SnapshotRoundTrip, FileWriteThenMmapOpen) {
