@@ -1,9 +1,11 @@
 // Experiment FE: the cache-native flow kernel behind ht::CutEngine.
 //
-// Sections gomory_hu / vertex_cut_tree / hypergraph_gomory_hu, each an
-// A/B of the FlowReuseScope toggle over a fixed cut-tree workload: engine
-// cache on (reset-and-reuse, the default) vs off (fresh FlowNetwork per
-// query, the pre-CSR behaviour).
+// Sections gomory_hu / vertex_cut_tree / hypergraph_gomory_hu /
+// hypergraph_gomory_hu_ring, each an A/B of the FlowReuseScope toggle over
+// a fixed cut-tree workload: engine cache on (reset-and-reuse, the
+// default) vs off (fresh FlowNetwork per query, the pre-CSR behaviour).
+// The ring section is the large-diameter case, where Gomory–Hu steps run
+// against certified sink sets of several vertices and local resets.
 //
 // Wall times are the MEDIAN of kReps runs (single-core CI runners are
 // noisy); the deterministic counters (flows, builds, augmenting paths)
@@ -201,6 +203,10 @@ int main() {
   const auto hh = ht::hypergraph::random_uniform(80, 160, 3, hh_rng);
   sections.push_back(run_reuse_section("hypergraph_gomory_hu", [&hh] {
     (void)ht::CutEngine().gomory_hu(hh);
+  }));
+  const auto ring = ht::hypergraph::ring_of_clusters(100, 10);
+  sections.push_back(run_reuse_section("hypergraph_gomory_hu_ring", [&ring] {
+    (void)ht::CutEngine().gomory_hu(ring);
   }));
 
   ht::Table table({"section", "mode", "wall_ms", "flows", "builds",

@@ -100,7 +100,8 @@ struct Cell {
 
 /// Builds a snapshot under `config`, serves one bisection from it, and
 /// evaluates the answer's cut on the ORIGINAL hypergraph. Returns the
-/// build wall time; cut < 0 flags a failed query.
+/// build wall time; cut < 0 flags a failed query, which includes a served
+/// side that does not hold exactly n/2 original vertices.
 double build_and_bisect(const Hypergraph& h, const ht::prep::PrepConfig& config,
                         const std::string& path, double* cut_on_original) {
   ht::snapshot::BuildOptions options;
@@ -114,7 +115,17 @@ double build_and_bisect(const Hypergraph& h, const ht::prep::PrepConfig& config,
   auto server = ht::TreeServer::open(path);
   if (!server.has_value()) return build_ms;
   const auto answer = server->bisection();
-  if (answer.has_value()) *cut_on_original = side_cut(h, answer->side);
+  if (!answer.has_value()) return build_ms;
+  const auto& side = answer->side;
+  const auto ones = static_cast<std::size_t>(
+      std::count(side.begin(), side.end(), true));
+  if (side.size() != static_cast<std::size_t>(h.num_vertices()) ||
+      2 * ones != side.size()) {
+    std::printf("unbalanced bisection from %s: %zu of %zu vertices\n",
+                path.c_str(), ones, side.size());
+    return build_ms;
+  }
+  *cut_on_original = side_cut(h, side);
   return build_ms;
 }
 

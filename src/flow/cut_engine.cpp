@@ -29,6 +29,13 @@ ht::obs::Histogram& solve_ns_histogram() {
   return h;
 }
 
+/// Sink-set size of each Gomory–Hu flow (see certified_sinks).
+ht::obs::Histogram& gusfield_sinks_histogram() {
+  static ht::obs::Histogram& h =
+      ht::obs::MetricsRegistry::global().histogram("flow.gusfield_sinks");
+  return h;
+}
+
 /// Records the end-to-end time of one min-cut query (solve + witness,
 /// excluding network construction) into the "flow.solve_ns" histogram —
 /// the source of the p99 flow-time gate.
@@ -329,29 +336,71 @@ class SpeculationGate {
   std::int32_t window_ = 0;
 };
 
+/// The sink set X for Gusfield step i against j = parent[i]: j plus every
+/// applied tree neighbour x of j (its children, and its parent if j is not
+/// the root) whose tree-edge cut lambda(x, j) is at least u >= w(delta({i})).
+/// Vertices below `applied_end` (and the root) are the applied ones.
+///
+/// The i-X min cut answers the i-j query exactly. Its value F <= u, since
+/// {i} separates i from X. An i-j cut whose i side holds some x in X
+/// separates x from j, so it costs at least lambda(x, j) >= u >= F; every
+/// other i-j cut is an i-X cut. Hence lambda(i, j) = F, and the minimal
+/// i-j min cut avoids X (when F = u it is {i}), so it is also the minimal
+/// i-X min cut: the one residual reachability returns. The flow only has
+/// to reach the nearest certified sink. This relies on Gusfield's
+/// invariant parent_cut[k] == lambda(k, parent[k]) for every applied k,
+/// and on exact arithmetic in the comparison (integer and dyadic weights
+/// sum exactly; other weights may, at worst, drop a tied x).
+template <typename Tree>
+std::vector<std::int32_t> certified_sinks(const Tree& tree, std::int32_t j,
+                                          std::int32_t applied_end,
+                                          double u) {
+  const auto& parent = tree.parent;
+  const auto& parent_cut = tree.parent_cut;
+  std::vector<std::int32_t> sinks{j};
+  for (std::int32_t k = 1; k < applied_end; ++k) {
+    if (parent[static_cast<std::size_t>(k)] == j &&
+        parent_cut[static_cast<std::size_t>(k)] >= u)
+      sinks.push_back(k);
+  }
+  const std::int32_t pj = parent[static_cast<std::size_t>(j)];
+  if (pj != -1 && parent_cut[static_cast<std::size_t>(j)] >= u)
+    sinks.push_back(pj);
+  gusfield_sinks_histogram().record(sinks.size());
+  return sinks;
+}
+
 /// Gusfield's n-1 max flows over vertices 1..n-1 in order, shared by both
-/// Gomory–Hu builders. `cut(i, j)` answers the i-j min cut; `apply(i, c)`
+/// Gomory–Hu builders. `boundary(i)` is w(delta({i})); `cut(i, sinks)`
+/// answers the min cut between i and the certified sink set of i's parent
+/// (certified_sinks), which is the i-parent[i] min cut; `apply(i, c)`
 /// applies a complete cut to out.tree (via gusfield_apply).
 ///
 /// Vertices are taken in windows of pool-size W. At a window's start the
 /// parents of its vertices are recorded; a vertex "hits" when its parent is
 /// unchanged when it is applied. While the SpeculationGate is open, the
 /// window's (i, parent[i]) subproblems run over the pool against that
-/// snapshot, a hit applies its speculative cut and a miss is recomputed
-/// against the live parent. While it is closed, every cut is computed
-/// serially against the live parent and the hits are only counted. The
-/// applied sequence is therefore exactly the serial Gusfield run —
-/// identical for every thread count and gate decision.
-template <typename RunResult, typename CutFn, typename ApplyFn>
-void run_gusfield(std::int32_t n, RunResult& out, CutFn&& cut,
-                  ApplyFn&& apply) {
+/// snapshot (sink sets from the window-start tree, whose applied vertices
+/// are those below lo), a hit applies its speculative cut and a miss is
+/// recomputed against the live parent. While it is closed, every cut is
+/// computed serially against the live parent and the hits are only
+/// counted. The applied sequence is therefore exactly the serial Gusfield
+/// run — identical for every thread count and gate decision.
+template <typename RunResult, typename BoundaryFn, typename CutFn,
+          typename ApplyFn>
+void run_gusfield(std::int32_t n, RunResult& out, BoundaryFn&& boundary,
+                  CutFn&& cut, ApplyFn&& apply) {
   RunState* run = current_run_state();
   auto& tree = out.tree;
   tree.root = 0;
   tree.parent.assign(static_cast<std::size_t>(n), 0);
   tree.parent[0] = -1;
   tree.parent_cut.assign(static_cast<std::size_t>(n), 0.0);
-  using Cut = decltype(cut(0, 0));
+  using Cut = decltype(cut(0, std::vector<std::int32_t>{}));
+  const auto solve = [&](std::int32_t i, std::int32_t j,
+                         std::int32_t applied_end) {
+    return cut(i, certified_sinks(tree, j, applied_end, boundary(i)));
+  };
   const auto width = static_cast<std::int32_t>(
       std::max<std::size_t>(1, ThreadPool::global().size()));
   SpeculationGate gate;
@@ -365,7 +414,8 @@ void run_gusfield(std::int32_t n, RunResult& out, CutFn&& cut,
     std::vector<Cut> speculative(speculate ? count : 0);
     if (speculate) {
       parallel_for(count, [&](std::size_t t) {
-        speculative[t] = cut(lo + static_cast<std::int32_t>(t), snapshot[t]);
+        speculative[t] = solve(lo + static_cast<std::int32_t>(t),
+                               snapshot[t], lo);
       });
     }
     for (std::int32_t i = lo; i < hi; ++i) {
@@ -380,7 +430,8 @@ void run_gusfield(std::int32_t n, RunResult& out, CutFn&& cut,
       const std::int32_t j = tree.parent[static_cast<std::size_t>(i)];
       const auto t = static_cast<std::size_t>(i - lo);
       const bool hit = snapshot[t] == j;
-      const Cut c = speculate && hit ? std::move(speculative[t]) : cut(i, j);
+      const Cut c =
+          speculate && hit ? std::move(speculative[t]) : solve(i, j, i);
       if (!c.complete) {
         interrupted = true;
         break;
@@ -428,8 +479,13 @@ GomoryHuRunResult CutEngine::gomory_hu(const Graph& g) const {
   GomoryHuRunResult out;
   run_gusfield(
       n, out,
-      [&](GraphVertexId i, GraphVertexId j) {
-        return min_edge_cut(g, {i}, {j});
+      [&](GraphVertexId i) {
+        double u = 0.0;
+        for (const auto& entry : g.neighbors(i)) u += g.edge(entry.edge).weight;
+        return u;
+      },
+      [&](GraphVertexId i, const std::vector<GraphVertexId>& sinks) {
+        return min_edge_cut(g, {i}, sinks);
       },
       [&](GraphVertexId i, const EdgeCutResult& cut) {
         gusfield_apply(out.tree, i, cut.value, cut.source_side);
@@ -451,8 +507,14 @@ HypergraphGomoryHuRunResult CutEngine::gomory_hu(const Hypergraph& h) const {
   const auto m = static_cast<std::size_t>(h.num_edges());
   run_gusfield(
       n, out,
-      [&](HyperVertexId i, HyperVertexId j) {
-        return min_hyperedge_cut(h, {i}, {j});
+      [&](HyperVertexId i) {
+        // Every net has >= 2 distinct pins, so every net at i crosses {i}.
+        double u = 0.0;
+        for (auto e : h.incident_edges(i)) u += h.edge_weight(e);
+        return u;
+      },
+      [&](HyperVertexId i, const std::vector<HyperVertexId>& sinks) {
+        return min_hyperedge_cut(h, {i}, sinks);
       },
       [&](HyperVertexId i, const HyperedgeCutResult& cut) {
         // Source side of the canonical minimum cut: vertices still

@@ -15,6 +15,13 @@
 // whether the network was reused or freshly built (FlowReuseScope) and
 // for every thread count. Deadline/cancel polling follows the ambient
 // RunContext (flow_check_rounds).
+//
+// The Gomory–Hu builders solve each Gusfield step i against a certified
+// sink set: parent[i] plus the applied tree neighbours x of parent[i]
+// whose tree-edge cut is at least i's weighted degree. That answers the
+// i-parent[i] min cut exactly (proof at certified_sinks in cut_engine.cpp)
+// while letting the flow stop at the nearest such vertex, so the trees,
+// cut values and flow counts are those of plain Gusfield.
 #pragma once
 
 #include <cstdint>
@@ -121,10 +128,10 @@ class CutEngine {
       const std::vector<ht::hypergraph::VertexId>& a,
       const std::vector<ht::hypergraph::VertexId>& b) const;
 
-  /// Gusfield Gomory–Hu tree with n-1 max-flow computations, stopping
-  /// early at the apply boundary under the ambient RunContext. Requires a
-  /// finalized connected graph with n >= 2. Edge weights are used; vertex
-  /// weights are ignored.
+  /// Gusfield Gomory–Hu tree with n-1 max-flow computations (each against
+  /// a certified sink set, see above), stopping early at the apply boundary
+  /// under the ambient RunContext. Requires a finalized connected graph
+  /// with n >= 2. Edge weights are used; vertex weights are ignored.
   GomoryHuRunResult gomory_hu(const ht::graph::Graph& g) const;
 
   /// Gomory–Hu tree for hypergraph s-t cuts (Lawler-expansion oracle).

@@ -27,6 +27,13 @@ ht::obs::Histogram& augmenting_paths_histogram() {
   return h;
 }
 
+/// Arcs restored per reset(): the flow state one query touched.
+ht::obs::Histogram& touched_arcs_histogram() {
+  static ht::obs::Histogram& h =
+      ht::obs::MetricsRegistry::global().histogram("flow.touched_arcs");
+  return h;
+}
+
 }  // namespace
 
 bool flow_reuse_enabled() {
@@ -113,6 +120,7 @@ void FlowNetwork::freeze() {
   build_cap_ = {};
 
   cap_ = base_cap_;
+  dirty_.assign(arcs, 0);
   level_.assign(n, -1);
   iter_.assign(n, 0);
   bfs_q_.assign(n, 0);
@@ -183,34 +191,46 @@ FlowNetwork FlowNetwork::hyperedge_cut_network(
 
 void FlowNetwork::reset() {
   HT_CHECK(source_ >= 0);
-  std::copy(base_cap_.begin(), base_cap_.end(), cap_.begin());
+  for (const std::int32_t a : touched_) {
+    cap_[static_cast<std::size_t>(a)] = base_cap_[static_cast<std::size_t>(a)];
+    dirty_[static_cast<std::size_t>(a)] = 0;
+  }
+  touched_arcs_histogram().record(touched_.size());
+  touched_.clear();
   ++queries_;
 }
 
 void FlowNetwork::attach_source(std::int32_t slot) {
   HT_CHECK(0 <= slot &&
            slot < static_cast<std::int32_t>(source_arc_of_.size()));
-  cap_[static_cast<std::size_t>(
-      source_arc_of_[static_cast<std::size_t>(slot)])] = kInfiniteCapacity;
+  const std::int32_t a = source_arc_of_[static_cast<std::size_t>(slot)];
+  touch(a);
+  cap_[static_cast<std::size_t>(a)] = kInfiniteCapacity;
 }
 
 void FlowNetwork::attach_sink(std::int32_t slot) {
   HT_CHECK(0 <= slot &&
            slot < static_cast<std::int32_t>(sink_arc_of_.size()));
-  cap_[static_cast<std::size_t>(
-      sink_arc_of_[static_cast<std::size_t>(slot)])] = kInfiniteCapacity;
+  const std::int32_t a = sink_arc_of_[static_cast<std::size_t>(slot)];
+  touch(a);
+  cap_[static_cast<std::size_t>(a)] = kInfiniteCapacity;
 }
 
 bool FlowNetwork::bfs() {
-  std::fill(level_.begin(), level_.end(), -1);
   const std::int32_t* offs = offs_.data();
   const NodeId* head = head_.data();
   const double* cap = cap_.data();
   NodeId* q = bfs_q_.data();
+  // Unlabel what the previous phase labelled: the nodes it queued, plus
+  // the sink, which is labelled but never queued.
+  for (std::int32_t k = 0; k < bfs_labelled_; ++k)
+    level_[static_cast<std::size_t>(q[k])] = -1;
+  level_[static_cast<std::size_t>(sink_)] = -1;
   std::int32_t qhead = 0;
   std::int32_t qtail = 0;
   std::int32_t sink_level = -1;
   level_[static_cast<std::size_t>(source_)] = 0;
+  iter_[static_cast<std::size_t>(source_)] = offs[source_];
   q[qtail++] = source_;
   while (qhead < qtail) {
     const NodeId v = q[qhead++];
@@ -233,9 +253,11 @@ bool FlowNetwork::bfs() {
         sink_level = lv + 1;
         continue;  // never expand the sink
       }
+      iter_[static_cast<std::size_t>(to)] = offs[to];
       q[qtail++] = to;
     }
   }
+  bfs_labelled_ = qtail;
   return sink_level != -1;
 }
 
@@ -250,9 +272,11 @@ double FlowNetwork::dfs(NodeId v, double limit) {
     if (level_[static_cast<std::size_t>(to)] != next_level) continue;
     const double pushed = dfs(to, cap < limit ? cap : limit);
     if (positive(pushed)) {
+      const std::int32_t r = rev_[static_cast<std::size_t>(a)];
+      touch(a);
+      touch(r);
       cap_[static_cast<std::size_t>(a)] -= pushed;
-      cap_[static_cast<std::size_t>(rev_[static_cast<std::size_t>(a)])] +=
-          pushed;
+      cap_[static_cast<std::size_t>(r)] += pushed;
       return pushed;
     }
   }
@@ -282,7 +306,6 @@ double FlowNetwork::max_flow() {
         break;
       }
     }
-    std::copy(offs_.begin(), offs_.begin() + num_nodes(), iter_.begin());
     for (;;) {
       const double pushed = dfs(source_, kInfiniteCapacity);
       if (!positive(pushed)) break;
@@ -297,20 +320,20 @@ double FlowNetwork::max_flow() {
 
 const std::vector<char>& FlowNetwork::source_side() {
   HT_CHECK(source_ >= 0);
-  std::fill(reach_.begin(), reach_.end(), 0);
-  // iter_ is dead between solves; borrow it as the DFS stack.
-  std::int32_t top = 0;
-  iter_[static_cast<std::size_t>(top++)] = source_;
+  for (const NodeId v : reached_) reach_[static_cast<std::size_t>(v)] = 0;
+  reached_.clear();
+  // reached_ is both the record of this call's marks and its BFS queue.
+  reached_.push_back(source_);
   reach_[static_cast<std::size_t>(source_)] = 1;
-  while (top > 0) {
-    const NodeId v = iter_[static_cast<std::size_t>(--top)];
+  for (std::size_t next = 0; next < reached_.size(); ++next) {
+    const NodeId v = reached_[next];
     const std::int32_t end = offs_[static_cast<std::size_t>(v) + 1];
     for (std::int32_t a = offs_[static_cast<std::size_t>(v)]; a < end; ++a) {
       if (!positive(cap_[static_cast<std::size_t>(a)])) continue;
       const NodeId to = head_[static_cast<std::size_t>(a)];
       if (reach_[static_cast<std::size_t>(to)]) continue;
       reach_[static_cast<std::size_t>(to)] = 1;
-      iter_[static_cast<std::size_t>(top++)] = to;
+      reached_.push_back(to);
     }
   }
   return reach_;
@@ -321,8 +344,9 @@ std::size_t FlowNetwork::memory_bytes() const {
     return v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type);
   };
   return bytes(offs_) + bytes(head_) + bytes(rev_) + bytes(base_cap_) +
-         bytes(cap_) + bytes(source_arc_of_) + bytes(sink_arc_of_) +
-         bytes(level_) + bytes(iter_) + bytes(bfs_q_) + bytes(reach_) +
+         bytes(cap_) + bytes(dirty_) + bytes(touched_) +
+         bytes(source_arc_of_) + bytes(sink_arc_of_) + bytes(level_) +
+         bytes(iter_) + bytes(bfs_q_) + bytes(reach_) + bytes(reached_) +
          bytes(build_from_) + bytes(build_to_) + bytes(build_cap_);
 }
 

@@ -24,7 +24,7 @@
 // plus two super terminals s/t with one *preallocated* zero-capacity
 // terminal arc pair per vertex. A query is then:
 //
-//   net.reset();                        // O(arcs) capacity restore, no alloc
+//   net.reset();                        // restore the arcs the last query wrote
 //   net.attach_source(v); ...           // flip terminal arcs to infinity
 //   net.attach_sink(u);  ...
 //   net.max_flow();                     // Dinic, in place
@@ -32,6 +32,14 @@
 //
 // Because reset() restores the exact pre-query capacities, a reused
 // network answers every query bit-identically to a freshly built one.
+//
+// Every per-query cost is proportional to the state the query touched, not
+// to the network: each arc written since the last reset() is logged once
+// (a dirty byte per arc keeps the log at most num_arcs() long), bfs()
+// clears only the labels its previous call set, and source_side() clears
+// only its own previous marks. A Gomory–Hu step that ends at a nearby
+// certified sink (cut_engine.cpp) therefore costs the neighbourhood it
+// explored, not the whole Lawler network.
 //
 // Engines are cached per thread in WorkArena keyed by the structure uid of
 // the underlying (hyper)graph; FlowReuseScope(false) disables the cache so
@@ -122,7 +130,8 @@ class FlowNetwork {
   bool last_flow_complete() const { return last_flow_complete_; }
 
   /// Restores every capacity to its build-time value (terminal arcs back
-  /// to zero) in O(arcs) with no allocation. Must precede attach_*.
+  /// to zero). Costs O(arcs written since the previous reset()), recorded
+  /// in the "flow.touched_arcs" histogram. Must precede attach_*.
   void reset();
   /// Activates the preallocated s -> slot arc at infinite capacity.
   /// `slot` is the original vertex id the builder registered.
@@ -155,6 +164,12 @@ class FlowNetwork {
   void freeze();
 
   static bool positive(double c) { return c > 1e-11; }
+  /// Logs arc a for the next reset() the first time a query writes it.
+  void touch(std::int32_t a) {
+    if (dirty_[static_cast<std::size_t>(a)]) return;
+    dirty_[static_cast<std::size_t>(a)] = 1;
+    touched_.push_back(a);
+  }
   bool bfs();
   double dfs(NodeId v, double limit);
 
@@ -177,17 +192,25 @@ class FlowNetwork {
   NodeId source_ = -1;
   NodeId sink_ = -1;
 
-  // Per-query state.
+  // Per-query state. cap_ differs from base_cap_ only on arcs listed in
+  // touched_ (each at most once: dirty_[a] marks the listed arcs).
   std::vector<double> cap_;
+  std::vector<char> dirty_;
+  std::vector<std::int32_t> touched_;
   std::uint64_t queries_ = 0;
   std::uint64_t last_augmenting_paths_ = 0;
   bool last_flow_complete_ = true;
 
-  // Dinic scratch, reused across queries (sized once at freeze()).
+  // Dinic scratch, reused across queries (sized once at freeze()). level_
+  // is -1 everywhere except at the sink and the bfs_labelled_ nodes at the
+  // front of bfs_q_; reach_ is 0 everywhere except at the nodes in
+  // reached_. iter_ is valid only at nodes the current phase labelled.
   std::vector<std::int32_t> level_;
   std::vector<std::int32_t> iter_;   // current arc index per node
   std::vector<NodeId> bfs_q_;        // flat BFS ring (each node enters once)
+  std::int32_t bfs_labelled_ = 0;
   std::vector<char> reach_;
+  std::vector<NodeId> reached_;
 };
 
 }  // namespace ht::flow

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "obs/metrics.hpp"
 #include "util/check.hpp"
 
 namespace ht::lp {
@@ -10,6 +11,18 @@ using ht::graph::Graph;
 using ht::graph::VertexId;
 
 namespace {
+
+ht::obs::Histogram& iterations_histogram() {
+  static ht::obs::Histogram& h =
+      ht::obs::MetricsRegistry::global().histogram("lp.fiedler.iterations");
+  return h;
+}
+
+ht::obs::Counter& unconverged_counter() {
+  static ht::obs::Counter& c =
+      ht::obs::MetricsRegistry::global().counter("lp.fiedler.unconverged");
+  return c;
+}
 
 // y = (c*I - L) x, where L is the weighted Laplacian. With c >= lambda_max,
 // the smallest Laplacian eigenvalues become the largest of the shifted
@@ -87,12 +100,15 @@ FiedlerResult fiedler_vector(const Graph& g,
     const double eig = shift - norm;  // Laplacian eigenvalue estimate
     if (it > 8 && std::fabs(eig - prev_eig) < tolerance) {
       prev_eig = eig;
+      out.converged = true;
       break;
     }
     prev_eig = eig;
   }
   out.vector = std::move(x);
   out.eigenvalue = prev_eig;
+  iterations_histogram().record(static_cast<std::uint64_t>(out.iterations));
+  if (!out.converged) unconverged_counter().add();
   return out;
 }
 

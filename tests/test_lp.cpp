@@ -7,6 +7,7 @@
 #include "lp/fractional_cut.hpp"
 #include "lp/simplex.hpp"
 #include "lp/spectral.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -94,8 +95,8 @@ TEST(Simplex, DegenerateTerminates) {
   EXPECT_NEAR(r.objective, 1.0, 1e-7);
 }
 
-TEST(Spectral, FiedlerSeparatesTwoCliques) {
-  // Two K5's joined by one edge: Fiedler vector signs split the cliques.
+/// Two K5's joined by one edge.
+ht::graph::Graph two_joined_cliques() {
   ht::graph::Graph g(10);
   for (int a = 0; a < 5; ++a)
     for (int b = a + 1; b < 5; ++b) {
@@ -104,6 +105,12 @@ TEST(Spectral, FiedlerSeparatesTwoCliques) {
     }
   g.add_edge(0, 5);
   g.finalize();
+  return g;
+}
+
+TEST(Spectral, FiedlerSeparatesTwoCliques) {
+  // Fiedler vector signs split the cliques.
+  const ht::graph::Graph g = two_joined_cliques();
   ht::Rng rng(1);
   const auto f = ht::lp::fiedler_vector(g, {}, rng);
   for (int v = 1; v < 5; ++v)
@@ -121,6 +128,44 @@ TEST(Spectral, PathEigenvalueMatchesClosedForm) {
   const auto f = ht::lp::fiedler_vector(g, {}, rng, 20000, 1e-12);
   const double expected = 2.0 * (1.0 - std::cos(M_PI / n));
   EXPECT_NEAR(f.eigenvalue, expected, 1e-4);
+}
+
+TEST(Spectral, ReportsConvergenceAndRecordsIterations) {
+  // Two joined cliques settle well before the cap; the result says so and
+  // the metrics see one converged call.
+  const ht::graph::Graph g = two_joined_cliques();
+  auto& registry = ht::obs::MetricsRegistry::global();
+  auto& iterations = registry.histogram("lp.fiedler.iterations");
+  auto& unconverged = registry.counter("lp.fiedler.unconverged");
+  const std::uint64_t calls_before = iterations.count();
+  const std::uint64_t iters_before = iterations.sum();
+  const std::uint64_t unconverged_before = unconverged.value();
+  ht::Rng rng(1);
+  const auto f = ht::lp::fiedler_vector(g, {}, rng);
+  EXPECT_TRUE(f.converged);
+  EXPECT_LT(f.iterations, 3000);
+  EXPECT_EQ(iterations.count() - calls_before, 1u);
+  EXPECT_EQ(iterations.sum() - iters_before,
+            static_cast<std::uint64_t>(f.iterations));
+  EXPECT_EQ(unconverged.value(), unconverged_before);
+}
+
+TEST(Spectral, ReportsIterationCapAsUnconverged) {
+  // A 200-vertex path has a tiny spectral gap: 20 iterations cannot meet
+  // a 1e-12 tolerance, so the run stops at the cap and says so.
+  const ht::graph::Graph g = ht::graph::path(200);
+  auto& registry = ht::obs::MetricsRegistry::global();
+  auto& iterations = registry.histogram("lp.fiedler.iterations");
+  auto& unconverged = registry.counter("lp.fiedler.unconverged");
+  const std::uint64_t iters_before = iterations.sum();
+  const std::uint64_t unconverged_before = unconverged.value();
+  ht::Rng rng(2);
+  const auto f = ht::lp::fiedler_vector(g, {}, rng, 20, 1e-12);
+  EXPECT_FALSE(f.converged);
+  EXPECT_EQ(f.iterations, 20);
+  EXPECT_EQ(f.vector.size(), 200u);
+  EXPECT_EQ(iterations.sum() - iters_before, 20u);
+  EXPECT_EQ(unconverged.value() - unconverged_before, 1u);
 }
 
 TEST(Spectral, VectorIsMassOrthogonalAndUnit) {
