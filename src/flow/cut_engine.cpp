@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 
 #include "flow/flow_network.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/perf_counters.hpp"
 #include "util/run_context.hpp"
-#include "util/thread_pool.hpp"
 #include "util/work_arena.hpp"
 
 namespace ht::flow {
@@ -74,42 +72,11 @@ void check_disjoint_nonempty(PieceAllocator::Scope& scope,
   }
 }
 
-/// The cached engine for (kind, uid), or a freshly built one parked in
-/// `fresh` when reuse is off / uid is 0. The returned reference must not be
-/// held across a thread-pool wait (see WorkArena).
-template <typename BuildFn>
-FlowNetwork& acquire_network(std::uint32_t kind, std::uint64_t uid,
-                             std::optional<FlowNetwork>& fresh,
-                             BuildFn&& build) {
-  // Apply the run's memory budget before parking another engine: evict
-  // least-recently-used cached engines until the cache fits.
-  if (RunState* run = current_run_state()) {
-    const std::size_t budget = run->context().memory_budget_bytes;
-    if (budget != 0) ht::WorkArena::local().enforce_budget(budget);
-  }
-  if (flow_reuse_enabled() && uid != 0) {
-    FlowNetwork& net = ht::WorkArena::local().acquire<FlowNetwork>(
-        kind, uid, static_cast<BuildFn&&>(build));
-    if (net.queries() > 0) PerfCounters::global().add_flow_reuse();
-    return net;
-  }
-  fresh.emplace(build());
-  return *fresh;
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Point queries
-
-EdgeCutResult CutEngine::min_edge_cut(
-    const Graph& g, const std::vector<GraphVertexId>& a,
-    const std::vector<GraphVertexId>& b) const {
-  HT_CHECK(g.finalized());
-  // Span args stay schedule-independent: cut value and augmenting-path
-  // count are deterministic (reset() restores exact capacities), while
-  // whether the network was reused is thread-affinity-dependent and is
-  // reported through metrics only.
+/// One min edge cut query on `net`, an edge_cut_network(g): restores it,
+/// attaches A and B, runs Dinic and reads the witness.
+EdgeCutResult solve_edge_cut(FlowNetwork& net, const Graph& g,
+                             const std::vector<GraphVertexId>& a,
+                             const std::vector<GraphVertexId>& b) {
   ht::obs::TraceSpan span("flow.min_edge_cut");
   span.arg("a", a.size());
   span.arg("b", b.size());
@@ -118,10 +85,6 @@ EdgeCutResult CutEngine::min_edge_cut(
   PieceAllocator::Scope scope(WorkArena::local().pieces());
   check_disjoint_nonempty(scope, a, b, g.num_vertices());
   const NodeId n = g.num_vertices();
-  std::optional<FlowNetwork> fresh;
-  FlowNetwork& net =
-      acquire_network(kEdgeCutNetwork, g.uid(), fresh,
-                      [&g] { return FlowNetwork::edge_cut_network(g); });
   net.reset();
   for (GraphVertexId v : a) net.attach_source(v);
   for (GraphVertexId v : b) net.attach_sink(v);
@@ -147,10 +110,10 @@ EdgeCutResult CutEngine::min_edge_cut(
   return out;
 }
 
-VertexCutResult CutEngine::min_vertex_cut(
-    const Graph& g, const std::vector<GraphVertexId>& a,
-    const std::vector<GraphVertexId>& b) const {
-  HT_CHECK(g.finalized());
+/// One min vertex cut query on `net`, a vertex_cut_network(g).
+VertexCutResult solve_vertex_cut(FlowNetwork& net, const Graph& g,
+                                 const std::vector<GraphVertexId>& a,
+                                 const std::vector<GraphVertexId>& b) {
   ht::obs::TraceSpan span("flow.min_vertex_cut");
   span.arg("a", a.size());
   span.arg("b", b.size());
@@ -162,10 +125,6 @@ VertexCutResult CutEngine::min_vertex_cut(
   // Node splitting: v_in = 2v, v_out = 2v+1 (see vertex_cut_network).
   auto v_in = [](GraphVertexId v) { return static_cast<NodeId>(2 * v); };
   auto v_out = [](GraphVertexId v) { return static_cast<NodeId>(2 * v + 1); };
-  std::optional<FlowNetwork> fresh;
-  FlowNetwork& net =
-      acquire_network(kVertexCutNetwork, g.uid(), fresh,
-                      [&g] { return FlowNetwork::vertex_cut_network(g); });
   net.reset();
   for (GraphVertexId v : a) net.attach_source(v);
   for (GraphVertexId v : b) net.attach_sink(v);
@@ -187,10 +146,10 @@ VertexCutResult CutEngine::min_vertex_cut(
   return out;
 }
 
-HyperedgeCutResult CutEngine::min_hyperedge_cut(
-    const Hypergraph& h, const std::vector<HyperVertexId>& a,
-    const std::vector<HyperVertexId>& b) const {
-  HT_CHECK(h.finalized());
+/// One min hyperedge cut query on `net`, a hyperedge_cut_network(h).
+HyperedgeCutResult solve_hyperedge_cut(FlowNetwork& net, const Hypergraph& h,
+                                       const std::vector<HyperVertexId>& a,
+                                       const std::vector<HyperVertexId>& b) {
   ht::obs::TraceSpan span("flow.min_hyperedge_cut");
   span.arg("a", a.size());
   span.arg("b", b.size());
@@ -207,10 +166,6 @@ HyperedgeCutResult CutEngine::min_hyperedge_cut(
   auto e_out = [n](ht::hypergraph::EdgeId e) {
     return static_cast<NodeId>(n + 2 * e + 1);
   };
-  std::optional<FlowNetwork> fresh;
-  FlowNetwork& net =
-      acquire_network(kHyperedgeCutNetwork, h.uid(), fresh,
-                      [&h] { return FlowNetwork::hyperedge_cut_network(h); });
   net.reset();
   for (auto v : a) net.attach_source(v);
   for (auto v : b) net.attach_sink(v);
@@ -232,6 +187,35 @@ HyperedgeCutResult CutEngine::min_hyperedge_cut(
   span.arg("augmenting_paths", net.last_augmenting_paths());
   HT_DCHECK(!out.complete || hyperedge_cut_separates(h, out.cut_edges, a, b));
   return out;
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Point queries: one network per call, freed on return
+
+EdgeCutResult CutEngine::min_edge_cut(
+    const Graph& g, const std::vector<GraphVertexId>& a,
+    const std::vector<GraphVertexId>& b) const {
+  HT_CHECK(g.finalized());
+  FlowNetwork net = FlowNetwork::edge_cut_network(g);
+  return solve_edge_cut(net, g, a, b);
+}
+
+VertexCutResult CutEngine::min_vertex_cut(
+    const Graph& g, const std::vector<GraphVertexId>& a,
+    const std::vector<GraphVertexId>& b) const {
+  HT_CHECK(g.finalized());
+  FlowNetwork net = FlowNetwork::vertex_cut_network(g);
+  return solve_vertex_cut(net, g, a, b);
+}
+
+HyperedgeCutResult CutEngine::min_hyperedge_cut(
+    const Hypergraph& h, const std::vector<HyperVertexId>& a,
+    const std::vector<HyperVertexId>& b) const {
+  HT_CHECK(h.finalized());
+  FlowNetwork net = FlowNetwork::hyperedge_cut_network(h);
+  return solve_hyperedge_cut(net, h, a, b);
 }
 
 // ---------------------------------------------------------------------------
@@ -295,51 +279,10 @@ void gusfield_apply(Tree& tree, std::int32_t i, double value,
   }
 }
 
-/// Decides, from the measured hit rate, whether a speculative Gusfield
-/// batch pays. A W-wide batch costs about 1 + (1 - h) * W flow-times of
-/// wall for W applies when a fraction h of its speculative cuts is still
-/// valid at apply time (the misses are recomputed serially), against W
-/// flow-times serially. That model already favours speculation at h > 1/W,
-/// but it ignores what speculation costs besides wall: every worker keeps
-/// its own copy of the flow network (3.4 MB per thread for the n=6000 ring
-/// of clusters' Lawler network), the concurrent flows compete for memory
-/// bandwidth, and inside a snapshot build they take cores from the two
-/// tree builders. On that ring (h ~ 0.4) Gomory–Hu at 4 threads was slower
-/// than at 1 (2.25 s vs 2.0 s) and threw away 3,600 of 9,599 flows; on a
-/// planted bisection (h ~ 1) speculation made it 2.6x faster. So the gate
-/// opens only once kMinObserved vertices were seen and at least 3/4 of the
-/// recent ones hit. "Recent" is a decaying window: both counts halve every
-/// kWindow observations. These constants are not tuned: any threshold
-/// between the two measured hit rates decides both instances alike, and
-/// no 4-thread benchmark workload opens the gate. The decision only
-/// changes which flows run where; the applied sequence, and so the tree,
-/// is serial Gusfield either way.
-class SpeculationGate {
- public:
-  void record(bool hit) {
-    ++observed_;
-    hits_ += hit ? 1 : 0;
-    if (++window_ == kWindow) {
-      hits_ /= 2;
-      window_ /= 2;
-    }
-  }
-  bool open() const {
-    return observed_ >= kMinObserved && 4 * hits_ >= 3 * window_;
-  }
-
- private:
-  static constexpr std::int32_t kMinObserved = 32;
-  static constexpr std::int32_t kWindow = 256;
-  std::int64_t observed_ = 0;
-  std::int32_t hits_ = 0;
-  std::int32_t window_ = 0;
-};
-
 /// The sink set X for Gusfield step i against j = parent[i]: j plus every
-/// applied tree neighbour x of j (its children, and its parent if j is not
-/// the root) whose tree-edge cut lambda(x, j) is at least u >= w(delta({i})).
-/// Vertices below `applied_end` (and the root) are the applied ones.
+/// applied tree neighbour x of j (its children below i, and its parent if
+/// j is not the root) whose tree-edge cut lambda(x, j) is at least
+/// u >= w(delta({i})).
 ///
 /// The i-X min cut answers the i-j query exactly. Its value F <= u, since
 /// {i} separates i from X. An i-j cut whose i side holds some x in X
@@ -352,13 +295,13 @@ class SpeculationGate {
 /// and on exact arithmetic in the comparison (integer and dyadic weights
 /// sum exactly; other weights may, at worst, drop a tied x).
 template <typename Tree>
-std::vector<std::int32_t> certified_sinks(const Tree& tree, std::int32_t j,
-                                          std::int32_t applied_end,
+std::vector<std::int32_t> certified_sinks(const Tree& tree, std::int32_t i,
                                           double u) {
   const auto& parent = tree.parent;
   const auto& parent_cut = tree.parent_cut;
+  const std::int32_t j = parent[static_cast<std::size_t>(i)];
   std::vector<std::int32_t> sinks{j};
-  for (std::int32_t k = 1; k < applied_end; ++k) {
+  for (std::int32_t k = 1; k < i; ++k) {
     if (parent[static_cast<std::size_t>(k)] == j &&
         parent_cut[static_cast<std::size_t>(k)] >= u)
       sinks.push_back(k);
@@ -371,76 +314,40 @@ std::vector<std::int32_t> certified_sinks(const Tree& tree, std::int32_t j,
 }
 
 /// Gusfield's n-1 max flows over vertices 1..n-1 in order, shared by both
-/// Gomory–Hu builders. `boundary(i)` is w(delta({i})); `cut(i, sinks)`
-/// answers the min cut between i and the certified sink set of i's parent
-/// (certified_sinks), which is the i-parent[i] min cut; `apply(i, c)`
-/// applies a complete cut to out.tree (via gusfield_apply).
-///
-/// Vertices are taken in windows of pool-size W. At a window's start the
-/// parents of its vertices are recorded; a vertex "hits" when its parent is
-/// unchanged when it is applied. While the SpeculationGate is open, the
-/// window's (i, parent[i]) subproblems run over the pool against that
-/// snapshot (sink sets from the window-start tree, whose applied vertices
-/// are those below lo), a hit applies its speculative cut and a miss is
-/// recomputed against the live parent. While it is closed, every cut is
-/// computed serially against the live parent and the hits are only
-/// counted. The applied sequence is therefore exactly the serial Gusfield
-/// run — identical for every thread count and gate decision.
-template <typename RunResult, typename BoundaryFn, typename CutFn,
+/// Gomory–Hu builders, all on the one network `net` this call owns: the
+/// steps are inherently ordered, and reset() restores exact capacities, so
+/// one build answers every step as a fresh network would. `boundary(i)` is
+/// w(delta({i})); `solve(net, i, sinks)` answers the min cut between i and
+/// the certified sink set of i's parent (certified_sinks), which is the
+/// i-parent[i] min cut; `apply(i, c)` applies a complete cut to out.tree
+/// (via gusfield_apply).
+template <typename RunResult, typename BoundaryFn, typename SolveFn,
           typename ApplyFn>
-void run_gusfield(std::int32_t n, RunResult& out, BoundaryFn&& boundary,
-                  CutFn&& cut, ApplyFn&& apply) {
+void run_gusfield(std::int32_t n, FlowNetwork net, RunResult& out,
+                  BoundaryFn&& boundary, SolveFn&& solve, ApplyFn&& apply) {
   RunState* run = current_run_state();
   auto& tree = out.tree;
   tree.root = 0;
   tree.parent.assign(static_cast<std::size_t>(n), 0);
   tree.parent[0] = -1;
   tree.parent_cut.assign(static_cast<std::size_t>(n), 0.0);
-  using Cut = decltype(cut(0, std::vector<std::int32_t>{}));
-  const auto solve = [&](std::int32_t i, std::int32_t j,
-                         std::int32_t applied_end) {
-    return cut(i, certified_sinks(tree, j, applied_end, boundary(i)));
-  };
-  const auto width = static_cast<std::int32_t>(
-      std::max<std::size_t>(1, ThreadPool::global().size()));
-  SpeculationGate gate;
   bool interrupted = false;
-  for (std::int32_t lo = 1; lo < n && !interrupted; lo += width) {
-    const std::int32_t hi = std::min(n, lo + width);
-    const auto count = static_cast<std::size_t>(hi - lo);
-    const std::vector<std::int32_t> snapshot(tree.parent.begin() + lo,
-                                             tree.parent.begin() + hi);
-    const bool speculate = count > 1 && gate.open();
-    std::vector<Cut> speculative(speculate ? count : 0);
-    if (speculate) {
-      parallel_for(count, [&](std::size_t t) {
-        speculative[t] = solve(lo + static_cast<std::int32_t>(t),
-                               snapshot[t], lo);
-      });
+  for (std::int32_t i = 1; i < n; ++i) {
+    // Anytime stop, at the apply boundary only: vertices before i keep
+    // their exact cuts, i and beyond stay provisional. An interrupted
+    // (incomplete) flow is never applied — its witness need not separate.
+    if (run != nullptr && !run->check().ok()) {
+      interrupted = true;
+      break;
     }
-    for (std::int32_t i = lo; i < hi; ++i) {
-      // Anytime stop, at the serial apply boundary only: vertices before
-      // i keep their exact cuts, i and beyond stay provisional. An
-      // interrupted (incomplete) flow is never applied — its witness need
-      // not separate.
-      if (run != nullptr && !run->check().ok()) {
-        interrupted = true;
-        break;
-      }
-      const std::int32_t j = tree.parent[static_cast<std::size_t>(i)];
-      const auto t = static_cast<std::size_t>(i - lo);
-      const bool hit = snapshot[t] == j;
-      const Cut c =
-          speculate && hit ? std::move(speculative[t]) : solve(i, j, i);
-      if (!c.complete) {
-        interrupted = true;
-        break;
-      }
-      apply(i, c);
-      gate.record(hit);
-      ++out.applied;
-      if (run != nullptr) run->note_piece();
+    const auto c = solve(net, i, certified_sinks(tree, i, boundary(i)));
+    if (!c.complete) {
+      interrupted = true;
+      break;
     }
+    apply(i, c);
+    ++out.applied;
+    if (run != nullptr) run->note_piece();
   }
   out.status = interrupted && run != nullptr ? run->status() : Status::Ok();
 }
@@ -470,22 +377,22 @@ GomoryHuRunResult CutEngine::gomory_hu(const Graph& g) const {
   HT_CHECK(g.finalized());
   const GraphVertexId n = g.num_vertices();
   HT_CHECK(n >= 2);
-  // One span per builder run. No per-batch spans: batch sizes follow the
-  // pool size, so they would break thread-count-invariant traces; the
-  // nested flow.min_edge_cut spans carry the per-flow detail.
+  // One span per builder run; the nested flow.min_edge_cut spans carry
+  // the per-flow detail.
   ht::obs::TraceSpan trace("gomory_hu");
   trace.arg("n", n);
   ht::PhaseTimer phase("gomory_hu.graph");
   GomoryHuRunResult out;
   run_gusfield(
-      n, out,
+      n, FlowNetwork::edge_cut_network(g), out,
       [&](GraphVertexId i) {
         double u = 0.0;
         for (const auto& entry : g.neighbors(i)) u += g.edge(entry.edge).weight;
         return u;
       },
-      [&](GraphVertexId i, const std::vector<GraphVertexId>& sinks) {
-        return min_edge_cut(g, {i}, sinks);
+      [&](FlowNetwork& net, GraphVertexId i,
+          const std::vector<GraphVertexId>& sinks) {
+        return solve_edge_cut(net, g, {i}, sinks);
       },
       [&](GraphVertexId i, const EdgeCutResult& cut) {
         gusfield_apply(out.tree, i, cut.value, cut.source_side);
@@ -498,7 +405,7 @@ HypergraphGomoryHuRunResult CutEngine::gomory_hu(const Hypergraph& h) const {
   HT_CHECK(h.finalized());
   const HyperVertexId n = h.num_vertices();
   HT_CHECK(n >= 2);
-  // One span per builder run; no per-batch spans (see the graph builder).
+  // One span per builder run (see the graph builder).
   ht::obs::TraceSpan trace("gomory_hu.hypergraph");
   trace.arg("n", n);
   trace.arg("m", h.num_edges());
@@ -506,15 +413,16 @@ HypergraphGomoryHuRunResult CutEngine::gomory_hu(const Hypergraph& h) const {
   HypergraphGomoryHuRunResult out;
   const auto m = static_cast<std::size_t>(h.num_edges());
   run_gusfield(
-      n, out,
+      n, FlowNetwork::hyperedge_cut_network(h), out,
       [&](HyperVertexId i) {
         // Every net has >= 2 distinct pins, so every net at i crosses {i}.
         double u = 0.0;
         for (auto e : h.incident_edges(i)) u += h.edge_weight(e);
         return u;
       },
-      [&](HyperVertexId i, const std::vector<HyperVertexId>& sinks) {
-        return min_hyperedge_cut(h, {i}, sinks);
+      [&](FlowNetwork& net, HyperVertexId i,
+          const std::vector<HyperVertexId>& sinks) {
+        return solve_hyperedge_cut(net, h, {i}, sinks);
       },
       [&](HyperVertexId i, const HyperedgeCutResult& cut) {
         // Source side of the canonical minimum cut: vertices still

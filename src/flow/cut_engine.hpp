@@ -9,19 +9,21 @@
 //   auto tree = engine.gomory_hu(g);                  // graph cut tree
 //   auto htree = engine.gomory_hu(h);                 // hypergraph cut tree
 //
-// Every query runs arena Dinic (flow/flow_network.hpp) on a per-thread
-// cached network and reads the witness off residual reachability, i.e.
-// the unique inclusion-minimal min cut, so answers are byte-identical
-// whether the network was reused or freshly built (FlowReuseScope) and
-// for every thread count. Deadline/cancel polling follows the ambient
-// RunContext (flow_check_rounds).
+// Every query runs arena Dinic (flow/flow_network.hpp) and reads the
+// witness off residual reachability, i.e. the unique inclusion-minimal min
+// cut, so answers are byte-identical for every thread count. A point query
+// builds its network, solves it once and frees it on return. A Gomory–Hu
+// build owns one network for all of its n-1 flows: reset() restores exact
+// capacities, so each step answers as a fresh network would. Deadline/
+// cancel polling follows the ambient RunContext (flow_check_rounds).
 //
-// The Gomory–Hu builders solve each Gusfield step i against a certified
-// sink set: parent[i] plus the applied tree neighbours x of parent[i]
-// whose tree-edge cut is at least i's weighted degree. That answers the
-// i-parent[i] min cut exactly (proof at certified_sinks in cut_engine.cpp)
-// while letting the flow stop at the nearest such vertex, so the trees,
-// cut values and flow counts are those of plain Gusfield.
+// The Gomory–Hu builders run Gusfield serially, in vertex order, and solve
+// each step i against a certified sink set: parent[i] plus the applied tree
+// neighbours x of parent[i] whose tree-edge cut is at least i's weighted
+// degree. That answers the i-parent[i] min cut exactly (proof at
+// certified_sinks in cut_engine.cpp) while letting the flow stop at the
+// nearest such vertex, so the trees, cut values and flow counts are those
+// of plain Gusfield.
 #pragma once
 
 #include <cstdint>
@@ -128,9 +130,9 @@ class CutEngine {
       const std::vector<ht::hypergraph::VertexId>& a,
       const std::vector<ht::hypergraph::VertexId>& b) const;
 
-  /// Gusfield Gomory–Hu tree with n-1 max-flow computations (each against
-  /// a certified sink set, see above), stopping early at the apply boundary
-  /// under the ambient RunContext. Requires a finalized connected graph
+  /// Gusfield Gomory–Hu tree with n-1 max-flow computations on one owned
+  /// network (each against a certified sink set, see above), stopping
+  /// early at the apply boundary under the ambient RunContext. Requires a finalized connected graph
   /// with n >= 2. Edge weights are used; vertex weights are ignored.
   GomoryHuRunResult gomory_hu(const ht::graph::Graph& g) const;
 

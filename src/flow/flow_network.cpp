@@ -1,7 +1,6 @@
 #include "flow/flow_network.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 #include "flow/dinic.hpp"
 #include "obs/metrics.hpp"
@@ -16,8 +15,6 @@ namespace ht::flow {
 static_assert(kInfiniteCapacity == Dinic<double>::kInfinity);
 
 namespace {
-
-std::atomic<bool> g_flow_reuse_enabled{true};
 
 /// Registered once; per-query augmenting-path counts land here so a
 /// metrics snapshot shows the flow-work distribution of a whole run.
@@ -35,18 +32,6 @@ ht::obs::Histogram& touched_arcs_histogram() {
 }
 
 }  // namespace
-
-bool flow_reuse_enabled() {
-  return g_flow_reuse_enabled.load(std::memory_order_relaxed);
-}
-
-FlowReuseScope::FlowReuseScope(bool enable)
-    : previous_(g_flow_reuse_enabled.exchange(enable,
-                                              std::memory_order_relaxed)) {}
-
-FlowReuseScope::~FlowReuseScope() {
-  g_flow_reuse_enabled.store(previous_, std::memory_order_relaxed);
-}
 
 void FlowNetwork::init(NodeId inner_nodes, std::int32_t terminal_slots) {
   HT_CHECK(inner_nodes >= 0 && terminal_slots >= 0);
@@ -197,7 +182,6 @@ void FlowNetwork::reset() {
   }
   touched_arcs_histogram().record(touched_.size());
   touched_.clear();
-  ++queries_;
 }
 
 void FlowNetwork::attach_source(std::int32_t slot) {
@@ -337,17 +321,6 @@ const std::vector<char>& FlowNetwork::source_side() {
     }
   }
   return reach_;
-}
-
-std::size_t FlowNetwork::memory_bytes() const {
-  auto bytes = [](const auto& v) {
-    return v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type);
-  };
-  return bytes(offs_) + bytes(head_) + bytes(rev_) + bytes(base_cap_) +
-         bytes(cap_) + bytes(dirty_) + bytes(touched_) +
-         bytes(source_arc_of_) + bytes(sink_arc_of_) + bytes(level_) +
-         bytes(iter_) + bytes(bfs_q_) + bytes(reach_) + bytes(reached_) +
-         bytes(build_from_) + bytes(build_to_) + bytes(build_cap_);
 }
 
 }  // namespace ht::flow

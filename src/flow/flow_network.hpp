@@ -1,10 +1,7 @@
 // Reusable flow-network arena: build the arc structure once, then answer
 // many max-flow queries by reset-and-reuse instead of reallocation.
 //
-// The cut-tree stack (Gomory–Hu, the Section 3.1 vertex cut tree, the
-// min-ratio oracle) issues O(n) max-flow calls over near-identical
-// networks. Rebuilding a Dinic instance per call makes allocation the
-// dominant serial cost inside parallel wavefronts; KaHyPar and Mt-KaHyPar
+// Gomory–Hu asks one network n-1 questions; KaHyPar and Mt-KaHyPar
 // attribute large constant-factor wins to materializing the flow structure
 // once and resetting between calls, and this class ports that pattern.
 //
@@ -41,9 +38,9 @@
 // certified sink (cut_engine.cpp) therefore costs the neighbourhood it
 // explored, not the whole Lawler network.
 //
-// Engines are cached per thread in WorkArena keyed by the structure uid of
-// the underlying (hyper)graph; FlowReuseScope(false) disables the cache so
-// tests and benches can compare the fresh-build path.
+// A network belongs to the call that built it (CutEngine in
+// cut_engine.cpp): point queries build one per call, a Gomory–Hu build one
+// for all of its steps. Nothing caches networks across calls.
 #pragma once
 
 #include <cstdint>
@@ -63,32 +60,6 @@ using NodeId = std::int32_t;
 /// stay equal to it — asserted in flow_network.cpp).
 inline constexpr double kInfiniteCapacity =
     std::numeric_limits<double>::max() / 4;
-
-/// Cache-key namespace for WorkArena::acquire: which expansion a cached
-/// FlowNetwork materializes (one structure uid can back several kinds).
-enum FlowNetworkKind : std::uint32_t {
-  kEdgeCutNetwork = 1,
-  kVertexCutNetwork = 2,
-  kHyperedgeCutNetwork = 3,
-};
-
-/// True when min-cut queries may be served from thread-local cached
-/// engines (the default). Toggled by FlowReuseScope.
-bool flow_reuse_enabled();
-
-/// RAII switch for the engine cache; FlowReuseScope off(false) forces the
-/// pre-refactor build-per-call behaviour (used by equivalence tests and
-/// the fresh-vs-reuse bench sections).
-class FlowReuseScope {
- public:
-  explicit FlowReuseScope(bool enable);
-  ~FlowReuseScope();
-  FlowReuseScope(const FlowReuseScope&) = delete;
-  FlowReuseScope& operator=(const FlowReuseScope&) = delete;
-
- private:
-  bool previous_;
-};
 
 class FlowNetwork {
  public:
@@ -113,8 +84,6 @@ class FlowNetwork {
   std::int64_t num_arcs() const {
     return static_cast<std::int64_t>(head_.size());
   }
-  /// Number of reset() calls served so far (0 = never queried).
-  std::uint64_t queries() const { return queries_; }
   /// Augmenting paths pushed by the most recent max_flow() call.
   /// Deterministic per query — reset() restores exact capacities, so the
   /// same (network, terminals) always walks the same paths.
@@ -146,9 +115,6 @@ class FlowNetwork {
   /// canonical inclusion-minimal min cut's source side). The reference is
   /// into a scratch buffer invalidated by the next query on this network.
   const std::vector<char>& source_side();
-
-  /// Approximate heap footprint, for the arena peak-allocation counter.
-  std::size_t memory_bytes() const;
 
  private:
   void init(NodeId inner_nodes, std::int32_t terminal_slots);
@@ -197,7 +163,6 @@ class FlowNetwork {
   std::vector<double> cap_;
   std::vector<char> dirty_;
   std::vector<std::int32_t> touched_;
-  std::uint64_t queries_ = 0;
   std::uint64_t last_augmenting_paths_ = 0;
   bool last_flow_complete_ = true;
 

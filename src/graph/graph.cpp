@@ -3,8 +3,6 @@
 #include <numeric>
 #include <sstream>
 
-#include "util/work_arena.hpp"
-
 namespace ht::graph {
 
 EdgeId Graph::add_edge(VertexId u, VertexId v, Weight w) {
@@ -20,10 +18,6 @@ EdgeId Graph::add_edge(VertexId u, VertexId v, Weight w) {
 void Graph::set_vertex_weight(VertexId v, Weight w) {
   HT_CHECK(w >= 0.0);
   vertex_weights_[static_cast<std::size_t>(v)] = w;
-  // Weights feed flow capacities: a finalized graph whose weights change
-  // must present a new cache key or reused engines would answer for the
-  // old weights.
-  if (finalized_) uid_ = next_structure_uid();
 }
 
 Weight Graph::total_vertex_weight() const {
@@ -55,7 +49,6 @@ void Graph::finalize() {
     adj_[static_cast<std::size_t>(cursor[static_cast<std::size_t>(e.v)]++)] =
         AdjEntry{e.u, id};
   }
-  uid_ = next_structure_uid();
   finalized_ = true;
 }
 

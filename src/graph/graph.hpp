@@ -62,9 +62,7 @@ class Graph {
   Weight vertex_weight(VertexId v) const {
     return vertex_weights_[static_cast<std::size_t>(v)];
   }
-  /// Allowed after finalize() (weights are not part of the CSR), but doing
-  /// so reassigns uid() so cached flow networks keyed on the old weights
-  /// are not served stale.
+  /// Allowed after finalize(): weights are not part of the CSR.
   void set_vertex_weight(VertexId v, Weight w);
   const std::vector<Weight>& vertex_weights() const { return vertex_weights_; }
 
@@ -75,10 +73,6 @@ class Graph {
   /// neighbors()/degree().
   void finalize();
   bool finalized() const { return finalized_; }
-
-  /// Process-unique structure id, assigned by finalize(); 0 while the graph
-  /// is mutable ("uncacheable"). WorkArena keys cached flow engines on it.
-  std::uint64_t uid() const { return finalized_ ? uid_ : 0; }
 
   std::span<const AdjEntry> neighbors(VertexId v) const {
     HT_DCHECK(finalized_);
@@ -109,7 +103,6 @@ class Graph {
   std::vector<Edge> edges_;
   std::vector<std::int64_t> adj_offsets_;
   std::vector<AdjEntry> adj_;
-  std::uint64_t uid_ = 0;
   bool finalized_ = false;
 };
 

@@ -5,8 +5,6 @@
 #include <numeric>
 #include <sstream>
 
-#include "util/work_arena.hpp"
-
 namespace ht::hypergraph {
 
 EdgeId Hypergraph::add_edge(std::vector<VertexId> pins, Weight w) {
@@ -25,10 +23,6 @@ EdgeId Hypergraph::add_edge(std::vector<VertexId> pins, Weight w) {
 void Hypergraph::set_vertex_weight(VertexId v, Weight w) {
   HT_CHECK(w >= 0.0);
   vertex_weights_[static_cast<std::size_t>(v)] = w;
-  // Weights feed flow capacities: a finalized hypergraph whose weights
-  // change must present a new cache key or reused engines would answer for
-  // the old weights.
-  if (finalized_) uid_ = next_structure_uid();
 }
 
 void Hypergraph::finalize() {
@@ -52,7 +46,6 @@ void Hypergraph::finalize() {
           cursor[static_cast<std::size_t>(v)]++)] = e;
     }
   }
-  uid_ = next_structure_uid();
   finalized_ = true;
 }
 

@@ -43,10 +43,6 @@ class Hypergraph {
   void finalize();
   bool finalized() const { return finalized_; }
 
-  /// Process-unique structure id, assigned by finalize(); 0 while mutable
-  /// ("uncacheable"). WorkArena keys cached flow engines on it.
-  std::uint64_t uid() const { return finalized_ ? uid_ : 0; }
-
   /// Pins of hyperedge e. Requires finalize(): before it, add_edge() is
   /// still free to append and the spans would dangle on reallocation.
   /// Enforced in every build (HT_CHECK, not just debug) — a dangling span
@@ -88,9 +84,7 @@ class Hypergraph {
   Weight vertex_weight(VertexId v) const {
     return vertex_weights_[static_cast<std::size_t>(v)];
   }
-  /// Allowed after finalize() (weights are not part of the CSR), but doing
-  /// so reassigns uid() so cached flow networks keyed on the old weights
-  /// are not served stale.
+  /// Allowed after finalize(): weights are not part of the CSR.
   void set_vertex_weight(VertexId v, Weight w);
 
   std::int32_t max_edge_size() const;
@@ -117,7 +111,6 @@ class Hypergraph {
   std::vector<VertexId> pin_storage_;
   std::vector<std::int64_t> inc_offsets_;
   std::vector<EdgeId> inc_storage_;
-  std::uint64_t uid_ = 0;
   bool finalized_ = false;
 };
 

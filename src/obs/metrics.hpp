@@ -8,7 +8,7 @@
 // metric sorted by name, which benches embed in their BENCH_*.json output.
 //
 // Naming scheme: dot-separated "<subsystem>.<quantity>", e.g.
-// "flow.builds", "pool.max_queue_depth", "arena.peak_bytes". PerfCounters
+// "flow.builds", "pool.max_queue_depth", "flow.solve_ns". PerfCounters
 // is a facade over this registry (see util/perf_counters.hpp); new
 // instrumentation should register metrics directly.
 #pragma once

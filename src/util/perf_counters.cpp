@@ -16,12 +16,8 @@ PerfCounters::PerfCounters()
       max_flow_calls_(registry().counter("flow.max_flow_calls")),
       tasks_(registry().counter("pool.tasks")),
       max_queue_depth_(registry().gauge("pool.max_queue_depth")),
-      arena_hits_(registry().counter("arena.hits")),
-      arena_misses_(registry().counter("arena.misses")),
       flow_builds_(registry().counter("flow.builds")),
-      flow_reuses_(registry().counter("flow.reuses")),
-      materializations_(registry().counter("view.materializations")),
-      peak_arena_bytes_(registry().gauge("arena.peak_bytes")) {}
+      materializations_(registry().counter("view.materializations")) {}
 
 PerfCounters& PerfCounters::global() {
   // Never destroyed, like MetricsRegistry::global(): a pool worker counts
@@ -29,13 +25,6 @@ PerfCounters& PerfCounters::global() {
   // running when main returns.
   static PerfCounters* counters = new PerfCounters();
   return *counters;
-}
-
-double PerfCounters::arena_hit_rate() const {
-  const std::uint64_t hits = arena_hits();
-  const std::uint64_t total = hits + arena_misses();
-  return total == 0 ? 0.0
-                    : static_cast<double>(hits) / static_cast<double>(total);
 }
 
 void PerfCounters::add_phase_time(const std::string& phase, double seconds) {
@@ -73,11 +62,7 @@ std::string PerfCounters::report() const {
      << " pool_tasks=" << tasks() << " max_queue_depth=" << max_queue_depth()
      << "\n";
   os << "perf: flow_builds=" << flow_builds()
-     << " flow_reuses=" << flow_reuses() << " arena_hits=" << arena_hits()
-     << " arena_misses=" << arena_misses() << " arena_hit_rate="
-     << arena_hit_rate() << "\n";
-  os << "perf: materializations=" << materializations()
-     << " peak_arena_bytes=" << peak_arena_bytes() << "\n";
+     << " materializations=" << materializations() << "\n";
   for (const auto& [name, seconds] : phase_times()) {
     os << "perf: phase " << name << " = " << seconds << " s (aggregate)\n";
   }

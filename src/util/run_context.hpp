@@ -2,7 +2,7 @@
 //
 // Every public entry point (via ht::Solver or the *_run builders) executes
 // under a RunContext describing when the run must stop (absolute deadline,
-// cancel token, logical piece budget, arena memory budget) and how it is
+// cancel token, logical piece budget, memory budget) and how it is
 // configured (thread count, seed, trace sink). The context is bound to the
 // calling thread with a RunScope; ThreadPool::enqueue re-binds it around
 // every task the run spawns, exactly like trace-span context, so the flow
@@ -13,7 +13,7 @@
 // records a terminal status in the shared RunState; every later stopped()
 // poll is one relaxed atomic load. Builders unwind at piece boundaries and
 // return valid best-so-far results tagged with that status — nothing
-// throws, arenas and WorkArena caches stay consistent (an interrupted
+// throws, and thread-local arenas stay consistent (an interrupted
 // FlowNetwork query is healed by the next reset()).
 //
 // Determinism: wall-clock stops (deadline, cancel) end the run at a
@@ -88,8 +88,9 @@ struct RunContext {
   /// unlimited. Deterministic: the same budget stops at the same logical
   /// piece for every thread count.
   std::uint64_t piece_budget = 0;
-  /// Soft cap on bytes parked in a thread's WorkArena object cache; the
-  /// cache is evicted before it would exceed this. 0 = unlimited.
+  /// Byte budget for the out-of-core build: the sharded build's resident
+  /// shard mappings (when ShardOptions::memory_budget_bytes is 0) and the
+  /// ingest's flush threshold. 0 = unlimited.
   std::size_t memory_budget_bytes = 0;
   /// Worker threads for the run; 0 = keep the current pool (whose default
   /// comes from env_default_threads()). Applied by ht::Solver.

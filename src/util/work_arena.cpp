@@ -1,14 +1,8 @@
 #include "util/work_arena.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 namespace ht {
-
-std::uint64_t next_structure_uid() {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
 
 WorkArena& WorkArena::local() {
   thread_local WorkArena arena;
@@ -21,7 +15,6 @@ WorkArena::Remap WorkArena::begin_remap(std::int32_t universe) {
   if (remap_stamp_.size() < n) {
     remap_stamp_.resize(n, 0);
     remap_value_.resize(n, -1);
-    note_bytes();
   }
   if (++epoch_ == 0) {
     // 32-bit epoch wrapped: stale stamps could alias, so wipe once.
@@ -32,34 +25,6 @@ WorkArena::Remap WorkArena::begin_remap(std::int32_t universe) {
   remap.arena_ = this;
   remap.epoch_ = epoch_;
   return remap;
-}
-
-void WorkArena::clear_cache() { cache_.clear(); }
-
-void WorkArena::enforce_budget(std::size_t budget_bytes) {
-  if (budget_bytes == 0) return;
-  while (!cache_.empty() && cached_bytes() > budget_bytes) evict_oldest();
-}
-
-std::size_t WorkArena::cached_bytes() const {
-  std::size_t total = 0;
-  for (const auto& entry : cache_) total += entry.bytes;
-  return total;
-}
-
-void WorkArena::evict_oldest() {
-  auto oldest = cache_.begin();
-  for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-    if (it->last_use < oldest->last_use) oldest = it;
-  }
-  cache_.erase(oldest);
-}
-
-void WorkArena::note_bytes() {
-  PerfCounters::global().note_arena_bytes(
-      cached_bytes() +
-      remap_stamp_.size() * sizeof(std::uint32_t) +
-      remap_value_.size() * sizeof(std::int32_t));
 }
 
 }  // namespace ht

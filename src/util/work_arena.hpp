@@ -8,33 +8,21 @@
 //    the arena instead keeps one stamp array per thread and invalidates it
 //    by bumping an epoch counter, so begin_remap() is O(1) amortized.
 //
-//  * A keyed object cache: flow engines (FlowNetwork) are expensive to
-//    build and cheap to reset. acquire<T>() returns a cached instance for a
-//    (kind, structure-uid) key, building it only on a miss. Hits/misses and
-//    the peak number of bytes parked in arenas are reported through
-//    PerfCounters, which is how the benches measure the reuse rate.
+//  * A per-piece scratch pool (pieces()): a bump/pool allocator for the
+//    short-lived buffers of one piece or one flow query.
 //
 // The arena is strictly thread-local (WorkArena::local()); no
-// synchronization, and cached objects are never shared across threads.
-// Callers must not hold a reference returned by acquire() across a thread
-// pool wait: a task stolen onto this stack may acquire() too and evict the
-// entry under the interrupted frame.
+// synchronization. It holds scratch only: flow networks belong to the call
+// that builds them (flow/cut_engine.cpp).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "util/check.hpp"
-#include "util/perf_counters.hpp"
 #include "util/piece_allocator.hpp"
 
 namespace ht {
-
-/// Process-unique id for a finalized structure (Graph / Hypergraph), used
-/// as the WorkArena cache key. Never returns 0 — that value is reserved
-/// for "not finalized / uncacheable".
-std::uint64_t next_structure_uid();
 
 class WorkArena {
  public:
@@ -72,44 +60,6 @@ class WorkArena {
   /// or the 32-bit epoch wraps.
   Remap begin_remap(std::int32_t universe);
 
-  // --- keyed object cache --------------------------------------------------
-
-  /// Returns the cached T for (kind, uid), building it with `build` (a
-  /// callable returning T) on a miss. T must expose memory_bytes(). A small
-  /// LRU keeps at most kCacheCapacity entries; uid 0 is reserved for
-  /// "uncacheable" and must not be passed here.
-  template <typename T, typename Build>
-  T& acquire(std::uint32_t kind, std::uint64_t uid, Build&& build) {
-    HT_CHECK(uid != 0);
-    for (auto& entry : cache_) {
-      if (entry.kind == kind && entry.uid == uid) {
-        entry.last_use = ++use_clock_;
-        PerfCounters::global().add_arena_hit();
-        return static_cast<Holder<T>*>(entry.object.get())->value;
-      }
-    }
-    PerfCounters::global().add_arena_miss();
-    if (cache_.size() >= kCacheCapacity) evict_oldest();
-    auto owned = std::make_unique<Holder<T>>(build());
-    T& ref = owned->value;
-    cache_.push_back(Entry{kind, uid, ++use_clock_, ref.memory_bytes(),
-                           std::move(owned)});
-    note_bytes();
-    return ref;
-  }
-
-  /// Drops every cached object (tests and benches use this to compare cold
-  /// and warm runs). Remap buffers are kept.
-  void clear_cache();
-
-  /// Evicts least-recently-used entries until the cache fits in
-  /// `budget_bytes` (0 = unlimited, no-op). The RunContext memory budget
-  /// is applied here by the flow layer before each engine acquire.
-  void enforce_budget(std::size_t budget_bytes);
-
-  /// Bytes currently parked in this arena's object cache.
-  std::size_t cached_bytes() const;
-
   // --- per-piece scratch pool ----------------------------------------------
 
   /// The thread's bump/pool allocator for per-piece scratch (terminal
@@ -118,33 +68,10 @@ class WorkArena {
   /// util/piece_allocator.hpp for the LIFO discipline.
   PieceAllocator& pieces() { return pieces_; }
 
-  static constexpr std::size_t kCacheCapacity = 4;
-
  private:
-  struct HolderBase {
-    virtual ~HolderBase() = default;
-  };
-  template <typename T>
-  struct Holder final : HolderBase {
-    explicit Holder(T&& v) : value(std::move(v)) {}
-    T value;
-  };
-  struct Entry {
-    std::uint32_t kind = 0;
-    std::uint64_t uid = 0;
-    std::uint64_t last_use = 0;
-    std::size_t bytes = 0;
-    std::unique_ptr<HolderBase> object;
-  };
-
-  void evict_oldest();
-  void note_bytes();
-
   std::vector<std::uint32_t> remap_stamp_;
   std::vector<std::int32_t> remap_value_;
   std::uint32_t epoch_ = 0;
-  std::vector<Entry> cache_;
-  std::uint64_t use_clock_ = 0;
   PieceAllocator pieces_;
 };
 

@@ -16,7 +16,6 @@
 #include "cuttree/decomposition_tree.hpp"
 #include "cuttree/tree.hpp"
 #include "cuttree/vertex_cut_tree.hpp"
-#include "flow/flow_network.hpp"
 #include "flow/cut_engine.hpp"
 #include "graph/generators.hpp"
 #include "hypergraph/generators.hpp"
@@ -62,9 +61,8 @@ TEST(Determinism, Theorem1BisectionAcrossThreadCounts) {
 }
 
 TEST(Determinism, GomoryHuAcrossThreadCounts) {
-  // The batched speculative build must reproduce the serial Gusfield
-  // sequence exactly: stale speculations are recomputed, so the tree is
-  // independent of batch size and thread count.
+  // Gusfield runs serially on one owned network whatever the pool size,
+  // so the tree is independent of the thread count.
   ht::Rng rng(1313);
   const auto g = ht::graph::gnp_connected(60, 6.0 / 60, rng);
   auto [serial, parallel] =
@@ -82,51 +80,50 @@ TEST(Determinism, HypergraphGomoryHuAcrossThreadCounts) {
   EXPECT_EQ(serial.parent_cut, parallel.parent_cut);
 }
 
-// Max-flow calls a Gomory–Hu build issues on a `threads`-wide pool.
-std::uint64_t gomory_hu_flows(const ht::hypergraph::Hypergraph& h,
-                              std::size_t threads,
-                              ht::flow::HypergraphGomoryHuTree* tree) {
+/// Max-flow calls and network builds a Gomory–Hu build issues on a
+/// `threads`-wide pool.
+struct GomoryHuCounts {
+  std::uint64_t flows = 0;
+  std::uint64_t builds = 0;
+  ht::flow::HypergraphGomoryHuTree tree;
+};
+
+GomoryHuCounts counted_gomory_hu(const ht::hypergraph::Hypergraph& h,
+                                 std::size_t threads) {
   ht::ThreadPool::reset_global(threads);
-  const std::uint64_t before = ht::PerfCounters::global().max_flow_calls();
-  *tree = ht::CutEngine().gomory_hu(h).tree;
-  const std::uint64_t flows =
-      ht::PerfCounters::global().max_flow_calls() - before;
+  const auto& counters = ht::PerfCounters::global();
+  const std::uint64_t flows_before = counters.max_flow_calls();
+  const std::uint64_t builds_before = counters.flow_builds();
+  GomoryHuCounts out;
+  out.tree = ht::CutEngine().gomory_hu(h).tree;
+  out.flows = counters.max_flow_calls() - flows_before;
+  out.builds = counters.flow_builds() - builds_before;
   ht::ThreadPool::reset_global();
-  return flows;
+  return out;
 }
 
-TEST(Determinism, GomoryHuSpeculatesWhenParentsHold) {
-  // A planted bisection's Gomory–Hu tree is nearly a star, so a window's
-  // parents rarely move before they are applied: the speculation gate
-  // opens at 4 threads and the pool runs more flows than Gusfield applies,
-  // yet the applied sequence, and so the tree, is the serial one.
+TEST(Determinism, GomoryHuOneNetworkAtFourThreads) {
+  // A planted bisection (nearly a star: parents rarely move) and a ring of
+  // clusters (the serial run keeps re-hanging the vertices ahead of it):
+  // at 4 threads both issue exactly Gusfield's n - 1 flows on one network,
+  // and the tree is the 1-thread tree byte for byte.
   ht::Rng rng(808);
-  const auto h = ht::hypergraph::planted_bisection(150, 3, 900, 10, rng);
-  ASSERT_TRUE(ht::hypergraph::is_connected(h));
-  const auto n = static_cast<std::uint64_t>(h.num_vertices());
-  ht::flow::HypergraphGomoryHuTree serial, parallel;
-  EXPECT_EQ(gomory_hu_flows(h, 1, &serial), n - 1);
-  EXPECT_GT(gomory_hu_flows(h, 4, &parallel), n - 1);
-  EXPECT_EQ(serial.parent, parallel.parent);
-  EXPECT_EQ(serial.parent_cut, parallel.parent_cut);
-}
-
-TEST(Determinism, GomoryHuDoesNotSpeculateWhenParentsMove) {
-  // On a ring of clusters the serial run keeps re-hanging the vertices
-  // ahead of it, so most speculative cuts would be stale: the gate stays
-  // closed and 4 threads issue exactly Gusfield's n - 1 flows.
-  const auto h = ht::hypergraph::ring_of_clusters(60, 10);
-  const auto n = static_cast<std::uint64_t>(h.num_vertices());
-  ht::flow::HypergraphGomoryHuTree serial, parallel;
-  EXPECT_EQ(gomory_hu_flows(h, 1, &serial), n - 1);
-  EXPECT_EQ(gomory_hu_flows(h, 4, &parallel), n - 1);
-  EXPECT_EQ(serial.parent, parallel.parent);
-  EXPECT_EQ(serial.parent_cut, parallel.parent_cut);
+  const auto planted = ht::hypergraph::planted_bisection(150, 3, 900, 10, rng);
+  ASSERT_TRUE(ht::hypergraph::is_connected(planted));
+  for (const auto& h : {planted, ht::hypergraph::ring_of_clusters(60, 10)}) {
+    const auto n = static_cast<std::uint64_t>(h.num_vertices());
+    const GomoryHuCounts serial = counted_gomory_hu(h, 1);
+    const GomoryHuCounts parallel = counted_gomory_hu(h, 4);
+    EXPECT_EQ(parallel.flows, n - 1) << "n=" << n;
+    EXPECT_EQ(parallel.builds, 1u) << "n=" << n;
+    EXPECT_EQ(serial.tree.parent, parallel.tree.parent) << "n=" << n;
+    EXPECT_EQ(serial.tree.parent_cut, parallel.tree.parent_cut) << "n=" << n;
+  }
 }
 
 TEST(Determinism, VertexCutTreeViewPathAcrossThreadCounts) {
   // Deep-recursion configuration: every wave runs SubsetView + the
-  // vertex-cut flow arena on worker threads (thread-local caches), so this
+  // vertex-cut flow arena on worker threads (thread-local remaps), so this
   // pins the refactored view path, not just the top-level split.
   ht::Rng rng(2024);
   const auto g = ht::graph::gnp_connected(60, 5.0 / 60, rng);
@@ -138,23 +135,6 @@ TEST(Determinism, VertexCutTreeViewPathAcrossThreadCounts) {
             ht::cuttree::tree_signature(parallel.tree));
   EXPECT_DOUBLE_EQ(serial.separator_weight, parallel.separator_weight);
   EXPECT_EQ(serial.num_pieces, parallel.num_pieces);
-}
-
-TEST(Determinism, GomoryHuIndependentOfFlowReuse) {
-  // The engine cache is a per-thread performance detail: turning it off
-  // (fresh FlowNetwork per query, the pre-refactor behaviour) must not
-  // move a byte, under either thread count.
-  ht::Rng rng(1313);
-  const auto g = ht::graph::gnp_connected(60, 6.0 / 60, rng);
-  auto [serial, parallel] = one_vs_four([&g] {
-    ht::flow::FlowReuseScope off(false);
-    return ht::CutEngine().gomory_hu(g).tree;
-  });
-  const auto reused = ht::CutEngine().gomory_hu(g).tree;
-  EXPECT_EQ(serial.parent, parallel.parent);
-  EXPECT_EQ(serial.parent_cut, parallel.parent_cut);
-  EXPECT_EQ(serial.parent, reused.parent);
-  EXPECT_EQ(serial.parent_cut, reused.parent_cut);
 }
 
 TEST(Determinism, KWayRecursiveBisectionAcrossRuns) {

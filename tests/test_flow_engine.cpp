@@ -1,10 +1,11 @@
-// Equivalence of the zero-rebuild flow engine and subgraph views with the
-// build-per-call / copy-per-level paths they replaced.
+// Equivalence of the reset-and-reuse flow network and subgraph views with
+// the build-per-call / copy-per-level paths they replaced.
 //
 // Two layers of evidence:
-//  * Direct A/B: every min-cut primitive is run with the engine cache on
-//    (reset-and-reuse) and off (FlowReuseScope — fresh build per call, the
-//    pre-refactor behaviour) and must agree exactly, bit for bit.
+//  * Direct A/B on FlowNetwork, for all three expansions: one network
+//    driven through many queries (reset / attach_* / max_flow /
+//    source_side, as a Gomory–Hu build drives the network it owns) must
+//    answer every query bit for bit like a fresh network built for it.
 //  * Golden hashes: tree signatures / Gomory–Hu trees / Theorem 1 outputs
 //    captured from the pre-refactor seed build. The refactor must not move
 //    a single byte of output.
@@ -40,7 +41,6 @@
 namespace {
 
 using ht::flow::FlowNetwork;
-using ht::flow::FlowReuseScope;
 
 // FNV-1a 64-bit over a string, printed as hex — the same digest the
 // pre-refactor goldens below were captured with.
@@ -85,100 +85,141 @@ std::vector<ht::graph::VertexId> random_terminals(ht::Rng& rng,
   return out;
 }
 
-TEST(FlowEngine, EdgeCutReuseMatchesFreshBuild) {
-  ht::Rng rng(51);
-  for (int round = 0; round < 12; ++round) {
+/// Everything one query leaves observable on a network.
+struct Solved {
+  double flow = 0.0;
+  bool complete = true;
+  std::uint64_t augmenting_paths = 0;
+  std::vector<char> source_side;
+};
+
+/// One query on `net`, driven directly: restore, attach, solve, read.
+template <typename VertexT>
+Solved solve_on(FlowNetwork& net, const std::vector<VertexT>& a,
+                const std::vector<VertexT>& b) {
+  net.reset();
+  for (VertexT v : a) net.attach_source(v);
+  for (VertexT v : b) net.attach_sink(v);
+  Solved out;
+  out.flow = net.max_flow();
+  out.complete = net.last_flow_complete();
+  out.augmenting_paths = net.last_augmenting_paths();
+  out.source_side = net.source_side();
+  return out;
+}
+
+void expect_same(const Solved& reused, const Solved& fresh,
+                 const std::string& what) {
+  EXPECT_TRUE(reused.complete) << what;
+  EXPECT_EQ(reused.flow, fresh.flow) << what;
+  EXPECT_EQ(reused.augmenting_paths, fresh.augmenting_paths) << what;
+  EXPECT_EQ(reused.source_side, fresh.source_side) << what;
+}
+
+/// Random instances from `make(rng, n)` with random terminal sets: every
+/// query on the instance's one reused network must match a network built
+/// fresh for that query.
+template <typename Make, typename Build>
+void expect_reuse_matches_fresh(std::uint64_t seed, int rounds, Make&& make,
+                                Build&& build) {
+  ht::Rng rng(seed);
+  for (int round = 0; round < rounds; ++round) {
     const auto n = static_cast<std::int32_t>(20 + rng.next_below(30));
-    const auto g = ht::graph::gnp_connected(n, 4.0 / n, rng);
+    const auto instance = make(rng, n);
+    FlowNetwork reused = build(instance);
     for (int q = 0; q < 6; ++q) {
       std::vector<char> taken(static_cast<std::size_t>(n), 0);
       const auto a = random_terminals(rng, n, taken);
       const auto b = random_terminals(rng, n, taken);
       if (a.empty() || b.empty()) continue;
-      const auto reused = ht::CutEngine().min_edge_cut(g, a, b);
-      FlowReuseScope off(false);
-      const auto fresh = ht::CutEngine().min_edge_cut(g, a, b);
-      EXPECT_EQ(reused.value, fresh.value);
-      EXPECT_EQ(reused.cut_edges, fresh.cut_edges);
-      EXPECT_EQ(reused.source_side, fresh.source_side);
+      FlowNetwork fresh = build(instance);
+      expect_same(solve_on(reused, a, b), solve_on(fresh, a, b),
+                  "round " + std::to_string(round) + " query " +
+                      std::to_string(q));
     }
   }
+}
+
+ht::graph::Graph random_graph(ht::Rng& rng, std::int32_t n) {
+  return ht::graph::gnp_connected(n, 4.0 / n, rng);
+}
+
+ht::hypergraph::Hypergraph random_hypergraph(ht::Rng& rng, std::int32_t n) {
+  return ht::hypergraph::random_uniform(n, 2 * n, 3, rng);
+}
+
+TEST(FlowEngine, EdgeCutReuseMatchesFreshBuild) {
+  expect_reuse_matches_fresh(51, 12, random_graph,
+                             FlowNetwork::edge_cut_network);
 }
 
 TEST(FlowEngine, VertexCutReuseMatchesFreshBuild) {
-  ht::Rng rng(52);
-  for (int round = 0; round < 12; ++round) {
-    const auto n = static_cast<std::int32_t>(20 + rng.next_below(30));
-    const auto g = ht::graph::gnp_connected(n, 4.0 / n, rng);
-    for (int q = 0; q < 6; ++q) {
-      std::vector<char> taken(static_cast<std::size_t>(n), 0);
-      const auto a = random_terminals(rng, n, taken);
-      const auto b = random_terminals(rng, n, taken);
-      if (a.empty() || b.empty()) continue;
-      const auto reused = ht::CutEngine().min_vertex_cut(g, a, b);
-      FlowReuseScope off(false);
-      const auto fresh = ht::CutEngine().min_vertex_cut(g, a, b);
-      EXPECT_EQ(reused.value, fresh.value);
-      EXPECT_EQ(reused.cut_vertices, fresh.cut_vertices);
-    }
-  }
+  expect_reuse_matches_fresh(52, 12, random_graph,
+                             FlowNetwork::vertex_cut_network);
 }
 
 TEST(FlowEngine, HyperedgeCutReuseMatchesFreshBuild) {
-  ht::Rng rng(53);
-  for (int round = 0; round < 10; ++round) {
-    const auto n = static_cast<std::int32_t>(16 + rng.next_below(20));
-    const auto h = ht::hypergraph::random_uniform(n, 2 * n, 3, rng);
-    for (int q = 0; q < 6; ++q) {
-      std::vector<char> taken(static_cast<std::size_t>(n), 0);
-      const auto a = random_terminals(rng, n, taken);
-      const auto b = random_terminals(rng, n, taken);
-      if (a.empty() || b.empty()) continue;
-      const auto reused = ht::CutEngine().min_hyperedge_cut(h, a, b);
-      FlowReuseScope off(false);
-      const auto fresh = ht::CutEngine().min_hyperedge_cut(h, a, b);
-      EXPECT_EQ(reused.value, fresh.value);
-      EXPECT_EQ(reused.cut_edges, fresh.cut_edges);
-    }
-  }
+  expect_reuse_matches_fresh(53, 10, random_hypergraph,
+                             FlowNetwork::hyperedge_cut_network);
+}
+
+/// A 12-cycle: terminals {0, 1} and {5, 6} are joined by a 4-edge and a
+/// 6-edge path, so every expansion needs two Dinic phases.
+ht::graph::Graph twelve_cycle() {
+  ht::graph::Graph g(12);
+  for (ht::graph::VertexId v = 0; v < 12; ++v) g.add_edge(v, (v + 1) % 12);
+  g.finalize();
+  return g;
 }
 
 TEST(FlowEngine, RepeatedQueriesAreIdentical) {
   // reset() restores the exact build-time capacities, so asking the same
-  // question twice on one engine must answer bit-identically.
+  // question twice on one network, with another question in between, must
+  // answer bit-identically, and like a fresh network.
+  using Terminals = std::vector<std::int32_t>;
+  const auto check = [](FlowNetwork reused, FlowNetwork fresh,
+                        const Terminals& a, const Terminals& b,
+                        const Terminals& c, const Terminals& d,
+                        const std::string& what) {
+    const Solved want = solve_on(fresh, a, b);
+    expect_same(solve_on(reused, a, b), want, what + " first");
+    (void)solve_on(reused, c, d);
+    expect_same(solve_on(reused, a, b), want, what + " second");
+  };
   ht::Rng rng(54);
   const auto g = ht::graph::gnp_connected(40, 5.0 / 40, rng);
-  const std::vector<ht::graph::VertexId> a{0, 3}, b{11, 17};
-  const auto first = ht::CutEngine().min_edge_cut(g, a, b);
-  const auto second = ht::CutEngine().min_edge_cut(g, a, b);
-  EXPECT_EQ(first.value, second.value);
-  EXPECT_EQ(first.cut_edges, second.cut_edges);
-  EXPECT_EQ(first.source_side, second.source_side);
+  check(FlowNetwork::edge_cut_network(g), FlowNetwork::edge_cut_network(g),
+        {0, 3}, {11, 17}, {17}, {0, 5}, "edge");
+  check(FlowNetwork::vertex_cut_network(g),
+        FlowNetwork::vertex_cut_network(g), {0, 3}, {11, 17}, {17}, {0, 5},
+        "vertex");
+  const auto h = ht::hypergraph::ring_of_clusters(12, 6);
+  check(FlowNetwork::hyperedge_cut_network(h),
+        FlowNetwork::hyperedge_cut_network(h), {0, 1, 2}, {27, 28, 29},
+        {30}, {5}, "hyperedge");
 }
 
-TEST(FlowEngine, ResetAfterInterruptedSolveMatchesFreshBuild) {
-  // An interrupted solve leaves attached terminals, BFS levels and (when
-  // it stops after a phase) pushed flow on the cached network; the next
-  // queries on that same network must still answer exactly like a fresh
-  // build.
-  const auto h = ht::hypergraph::ring_of_clusters(12, 6);
-  const ht::hypergraph::VertexId last = h.num_vertices() - 1;
-  const std::vector<ht::hypergraph::VertexId> a{0, 1, 2, 3, 4, 5},
-      b{27, 28, 29};
-  auto& paths =
-      ht::obs::MetricsRegistry::global().histogram("flow.augmenting_paths");
-  auto& counters = ht::PerfCounters::global();
-  const std::uint64_t builds_before = counters.flow_builds();
-
-  // Stop latched before the solve: it breaks after its first BFS.
+/// Interrupts two solves on one network — a stop latched before the
+/// solve (it breaks after its first BFS), then a cancel the solve's own
+/// poll latches after its first phase pushed — and then answers
+/// completed queries on that same network: the interrupted terminals, the
+/// same terminals swapped (flow left behind would now run with the new
+/// flow instead of against it), then others. Each must match a fresh
+/// network.
+template <typename Instance, typename Build>
+void expect_reset_heals_interrupts(
+    const Instance& instance, Build&& build,
+    const std::vector<std::int32_t>& a, const std::vector<std::int32_t>& b,
+    const std::vector<std::int32_t>& c, const std::vector<std::int32_t>& d,
+    const std::string& what) {
+  FlowNetwork net = build(instance);
   {
     ht::RunContext ctx;
     ctx.with_deadline_after(std::chrono::nanoseconds(0));
     ht::RunScope scope(ctx);
     (void)scope.state().check();
-    EXPECT_FALSE(ht::CutEngine().min_hyperedge_cut(h, a, b).complete);
+    EXPECT_FALSE(solve_on(net, a, b).complete) << what;
   }
-  // Stop latched by the solve's own poll after its first phase pushed.
   {
     ht::CancelSource cancel;
     cancel.request_cancel();
@@ -186,47 +227,55 @@ TEST(FlowEngine, ResetAfterInterruptedSolveMatchesFreshBuild) {
     ctx.with_cancel(cancel.token());
     ctx.flow_check_rounds = 2;
     ht::RunScope scope(ctx);
-    const std::uint64_t pushed_before = paths.sum();
-    EXPECT_FALSE(ht::CutEngine().min_hyperedge_cut(h, a, b).complete);
-    EXPECT_GT(paths.sum(), pushed_before);
+    const Solved stopped = solve_on(net, a, b);
+    EXPECT_FALSE(stopped.complete) << what;
+    EXPECT_GT(stopped.augmenting_paths, 0u) << what;
   }
-  // Then completed queries on the same network: the interrupted
-  // terminals, the same terminals swapped (flow left behind would now run
-  // with the new flow instead of against it), then others.
-  using Terminals = std::vector<ht::hypergraph::VertexId>;
+  using Terminals = std::vector<std::int32_t>;
   const std::vector<std::pair<Terminals, Terminals>> queries{
-      {a, b}, {b, a}, {{last}, {7, 30}}, {{6}, {60}}};
-  std::vector<ht::flow::HyperedgeCutResult> reused;
-  for (const auto& [s, t] : queries)
-    reused.push_back(ht::CutEngine().min_hyperedge_cut(h, s, t));
-  EXPECT_EQ(counters.flow_builds() - builds_before, 1u);  // one network
-
-  FlowReuseScope off(false);
+      {a, b}, {b, a}, {c, d}, {d, c}};
   for (std::size_t q = 0; q < queries.size(); ++q) {
-    const auto fresh = ht::CutEngine().min_hyperedge_cut(
-        h, queries[q].first, queries[q].second);
-    EXPECT_TRUE(reused[q].complete) << "query " << q;
-    EXPECT_EQ(reused[q].value, fresh.value) << "query " << q;
-    EXPECT_EQ(reused[q].cut_edges, fresh.cut_edges) << "query " << q;
+    FlowNetwork fresh = build(instance);
+    expect_same(solve_on(net, queries[q].first, queries[q].second),
+                solve_on(fresh, queries[q].first, queries[q].second),
+                what + " query " + std::to_string(q));
   }
 }
 
+TEST(FlowEngine, ResetAfterInterruptedSolveMatchesFreshBuild) {
+  // An interrupted solve leaves attached terminals, BFS levels and (when
+  // it stops after a phase) pushed flow on the network; the next queries
+  // on that same network must still answer exactly like a fresh build.
+  const auto cycle = twelve_cycle();
+  expect_reset_heals_interrupts(cycle, FlowNetwork::edge_cut_network, {0, 1},
+                                {5, 6}, {3}, {8, 10}, "edge");
+  expect_reset_heals_interrupts(cycle, FlowNetwork::vertex_cut_network,
+                                {0, 1}, {5, 6}, {3}, {8, 10}, "vertex");
+  const auto h = ht::hypergraph::ring_of_clusters(12, 6);
+  const std::int32_t last = h.num_vertices() - 1;
+  expect_reset_heals_interrupts(h, FlowNetwork::hyperedge_cut_network,
+                                {0, 1, 2, 3, 4, 5}, {27, 28, 29}, {last},
+                                {7, 30}, "hyperedge");
+}
+
 TEST(FlowEngine, ReuseCountersShowReuse) {
-  ht::ThreadPool::reset_global(1);
+  // A graph Gomory–Hu build answers its n-1 flows on the one network it
+  // owns, at any pool size.
   ht::Rng rng(55);
   const auto g = ht::graph::gnp_connected(48, 6.0 / 48, rng);
   auto& counters = ht::PerfCounters::global();
-  counters.reset();
-  const auto tree = ht::CutEngine().gomory_hu(g).tree;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ht::ThreadPool::reset_global(threads);
+    const std::uint64_t flows_before = counters.max_flow_calls();
+    const std::uint64_t builds_before = counters.flow_builds();
+    const auto tree = ht::CutEngine().gomory_hu(g).tree;
+    EXPECT_EQ(tree.parent.size(), 48u);
+    EXPECT_EQ(counters.max_flow_calls() - flows_before, 47u)
+        << "threads=" << threads;
+    EXPECT_EQ(counters.flow_builds() - builds_before, 1u)
+        << "threads=" << threads;
+  }
   ht::ThreadPool::reset_global();
-  EXPECT_EQ(tree.parent.size(), 48u);
-  // Gusfield issues n-1 flows on the same graph: a handful of engine
-  // builds (one per participating thread), everything else reuse.
-  EXPECT_GT(counters.max_flow_calls(), 0u);
-  EXPECT_GT(counters.flow_reuses(), 0u);
-  EXPECT_GT(counters.arena_hits(), 0u);
-  EXPECT_LT(counters.flow_builds(), counters.max_flow_calls());
-  EXPECT_GT(counters.peak_arena_bytes(), 0u);
 }
 
 TEST(FlowEngine, ArenaAgreesWithReferenceDinic) {
@@ -389,29 +438,8 @@ TEST(FlowEngineGolden, Theorem1BisectionUnchanged) {
   EXPECT_EQ(hash_hex(s), "75cceafb461218bb");
 }
 
-TEST(FlowEngineGolden, GoldensHoldWithReuseDisabled) {
-  // The fresh-build path must produce the same bytes as the arena path.
-  FlowReuseScope off(false);
-  {
-    ht::Rng rng(1313);
-    const auto g = ht::graph::gnp_connected(60, 6.0 / 60, rng);
-    const auto t = ht::CutEngine().gomory_hu(g).tree;
-    EXPECT_EQ(hash_hex(gomory_hu_string(t.parent, t.parent_cut)),
-              "7d301c7c0431f7f7");
-  }
-  {
-    ht::Rng rng(2024);
-    const auto g = ht::graph::gnp_connected(60, 5.0 / 60, rng);
-    ht::cuttree::VertexCutTreeOptions opt;
-    opt.threshold_override = 0.75;
-    const auto r = ht::cuttree::build_vertex_cut_tree(g, opt);
-    EXPECT_EQ(hash_hex(ht::cuttree::tree_signature(r.tree)),
-              "eadb86157db492ca");
-  }
-}
-
 TEST(FlowEngineGolden, GoldensHoldAcrossThreadCounts) {
-  // Batched speculation must not move a byte: at 1 and 4 threads both
+  // The pool size must not move a byte: at 1 and 4 threads both
   // Gomory–Hu builders reproduce the pre-refactor hashes.
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     ht::ThreadPool::reset_global(threads);

@@ -1,12 +1,14 @@
 // Exactness of the Gomory–Hu builders against plain serial Gusfield.
 //
-// CutEngine::gomory_hu solves each Gusfield step against a certified sink
-// set (the parent plus tree neighbours whose cut to it is at least the
-// step vertex's weighted degree) and may speculate over a thread pool. Both
-// are meant to leave the output exactly as the textbook algorithm's: one
-// min_*_cut(h, {i}, {parent[i]}) per step, applied in order. The reference
-// below is that textbook run, through the public CutEngine API only, and
-// every comparison is byte for byte, at 1 and at 4 threads.
+// CutEngine::gomory_hu runs every Gusfield step on the one network it owns
+// and solves each step against a certified sink set (the parent plus tree
+// neighbours whose cut to it is at least the step vertex's weighted
+// degree). Both are meant to leave the output exactly as the textbook
+// algorithm's: one min_*_cut(h, {i}, {parent[i]}) per step, applied in
+// order. The reference below is that textbook run, through the public
+// CutEngine API only, so each of its steps is a fresh one-shot query on a
+// network of its own; every comparison is byte for byte, at 1 and at 4
+// threads.
 
 #include <gtest/gtest.h>
 
@@ -276,8 +278,7 @@ TEST(GomoryHuExact, RingOfClustersMatchesSerialGusfield) {
 }
 
 TEST(GomoryHuExact, PlantedBisectionMatchesSerialGusfield) {
-  // Nearly a star, so at 4 threads the speculation gate opens and the
-  // speculative cuts use sink sets from the tree at the window's start.
+  // Nearly a star: parents rarely move between steps.
   ht::Rng rng(808);
   std::vector<Hypergraph> instances{
       ht::hypergraph::planted_bisection(150, 3, 900, 10, rng)};

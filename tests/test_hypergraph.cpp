@@ -38,37 +38,31 @@ TEST(Hypergraph, PinsDeduplicatedAndSorted) {
             (std::vector<VertexId>{1, 2, 3}));
 }
 
-// Repeat finalize() must be a cheap no-op, not a rebuild: the uid (which
-// keys WorkArena-cached flow networks) must not be reassigned, and the CSR
-// storage must not be touched — spans handed out before the second call
-// stay valid. The sharded build and the serving
-// layer both re-finalize defensively, so a regressing rebuild here would
-// silently invalidate every cached engine.
+// Repeat finalize() must be a cheap no-op, not a rebuild: the CSR storage
+// must not be touched — spans handed out before the second call stay
+// valid. The sharded build and the serving layer both re-finalize
+// defensively, so a regressing rebuild here would dangle their spans.
 TEST(Hypergraph, RepeatFinalizeIsNoOp) {
   Hypergraph h(4);
   h.add_edge({0, 1, 2}, 2.0);
   h.add_edge({2, 3});
   h.finalize();
-  const std::uint64_t uid = h.uid();
   const auto* pin_data = h.pins(0).data();
   const auto* inc_data = h.incident_edges(2).data();
-  EXPECT_NE(uid, 0u);
 
   h.finalize();
   h.finalize();
-  EXPECT_EQ(h.uid(), uid);
   EXPECT_EQ(h.pins(0).data(), pin_data);
   EXPECT_EQ(h.incident_edges(2).data(), inc_data);
   EXPECT_EQ(h.degree(2), 2);
 
-  // Mutation after finalize() re-opens the builder: the next finalize
-  // must assign a FRESH uid (stale caches keyed on the old uid would
-  // otherwise be served for the changed structure).
+  // Mutation after finalize() re-opens the builder; the next finalize
+  // rebuilds the incidence lists.
   h.add_edge({0, 3});
-  EXPECT_EQ(h.uid(), 0u);  // un-finalized: uncacheable
+  EXPECT_FALSE(h.finalized());
   h.finalize();
-  EXPECT_NE(h.uid(), 0u);
-  EXPECT_NE(h.uid(), uid);
+  EXPECT_TRUE(h.finalized());
+  EXPECT_EQ(h.degree(3), 2);
 }
 
 TEST(Hypergraph, RejectsTinyEdges) {

@@ -25,11 +25,10 @@ flow mode
                                  solve p99 > 4x baseline,
                                  trace overhead >= 2%
   hard (``::error``, exit 1)     wall_ms > 4x baseline,
-                                 solve p99 > 10x baseline, any
+                                 solve p99 > 10x baseline, or any
                                  deterministic counter (max_flow_calls,
                                  flow_builds, augmenting_paths) above
-                                 baseline, or reuse mode saving < 1.5x
-                                 builds vs fresh
+                                 baseline
 
 shard mode
   soft (``::warning``, exit 0)   either wall_ms > 2x baseline
@@ -75,7 +74,6 @@ OVERHEAD_WARN_PCT = 2.0
 FLOW_WALL_WARN, FLOW_WALL_FAIL = 2.0, 4.0
 FLOW_P99_WARN, FLOW_P99_FAIL = 4.0, 10.0
 FLOW_COUNTERS = ("max_flow_calls", "flow_builds", "augmenting_paths")
-FLOW_BUILD_SAVINGS = 1.5  # fresh/reuse builds, the headline claim
 
 failures = []
 
@@ -150,72 +148,48 @@ def diff_serve(current: dict, baseline: dict) -> None:
 
 
 def diff_flow(current: dict, baseline: dict) -> None:
-    for section, modes in baseline.items():
+    for section, then in baseline.items():
         if section.startswith("_") or section == "trace_overhead":
             continue
-        if section not in current:
+        now = current.get(section)
+        if now is None:
             fail("flow section missing",
                  f"section {section!r} absent from BENCH_flow_engine.json")
             continue
-        for mode_name, then in modes.items():
-            now = current[section].get(mode_name)
-            tag = f"{section}/{mode_name}"
-            if now is None:
-                fail("flow mode missing", f"{tag} absent from current run")
-                continue
 
-            # Deterministic counters: fixed seeds + fixed traversal order
-            # mean these reproduce exactly; any increase is algorithmic.
-            for key in FLOW_COUNTERS:
-                c_now, c_then = now[key], then[key]
-                line = f"{tag}: {key} {c_now} vs baseline {c_then}"
-                if c_now > c_then:
-                    fail("flow counter regression", f"{line} (hard)")
-                elif c_now < c_then:
-                    print(line + " (improved; refresh the baseline)")
-                else:
-                    print(line + " (OK)")
-
-            w_now, w_then = now["wall_ms"], then["wall_ms"]
-            speedup = w_then / w_now if w_now > 0 else float("inf")
-            line = (f"{tag}: wall {w_now:.3f}ms vs baseline {w_then:.3f}ms "
-                    f"({speedup:.2f}x baseline speed)")
-            if w_now > FLOW_WALL_FAIL * w_then:
-                fail("flow wall regression",
-                     f"{line} (> {FLOW_WALL_FAIL:.0f}x, hard)")
-            elif w_now > FLOW_WALL_WARN * w_then:
-                warn("flow wall regression",
-                     f"{line} (> {FLOW_WALL_WARN:.0f}x, soft)")
+        # Deterministic counters: fixed seeds + fixed traversal order
+        # mean these reproduce exactly; any increase is algorithmic.
+        for key in FLOW_COUNTERS:
+            c_now, c_then = now[key], then[key]
+            line = f"{section}: {key} {c_now} vs baseline {c_then}"
+            if c_now > c_then:
+                fail("flow counter regression", f"{line} (hard)")
+            elif c_now < c_then:
+                print(line + " (improved; refresh the baseline)")
             else:
                 print(line + " (OK)")
 
-            p_now, p_then = now["solve_p99_us"], then["solve_p99_us"]
-            line = (f"{tag}: flow p99 {p_now:.1f}us vs baseline "
-                    f"{p_then:.1f}us")
-            if p_then > 0 and p_now > FLOW_P99_FAIL * p_then:
-                fail("flow p99 regression",
-                     f"{line} (> {FLOW_P99_FAIL:.0f}x, hard)")
-            elif p_then > 0 and p_now > FLOW_P99_WARN * p_then:
-                warn("flow p99 regression",
-                     f"{line} (> {FLOW_P99_WARN:.0f}x, soft)")
-            else:
-                print(line + " (OK)")
+        w_now, w_then = now["wall_ms"], then["wall_ms"]
+        speedup = w_then / w_now if w_now > 0 else float("inf")
+        line = (f"{section}: wall {w_now:.3f}ms vs baseline {w_then:.3f}ms "
+                f"({speedup:.2f}x baseline speed)")
+        if w_now > FLOW_WALL_FAIL * w_then:
+            fail("flow wall regression",
+                 f"{line} (> {FLOW_WALL_FAIL:.0f}x, hard)")
+        elif w_now > FLOW_WALL_WARN * w_then:
+            warn("flow wall regression",
+                 f"{line} (> {FLOW_WALL_WARN:.0f}x, soft)")
+        else:
+            print(line + " (OK)")
 
-    # The headline reuse claim: the engine cache must save >= 1.5x
-    # network builds on the graph cut-tree sections. Counter-based, so
-    # exact.
-    for section in ("gomory_hu", "vertex_cut_tree"):
-        modes = current.get(section, {})
-        reuse, fresh = modes.get("reuse"), modes.get("fresh")
-        if not reuse or not fresh:
-            continue
-        ratio = (fresh["flow_builds"] / reuse["flow_builds"]
-                 if reuse["flow_builds"] else float("inf"))
-        line = (f"{section}: builds fresh/reuse = {fresh['flow_builds']}/"
-                f"{reuse['flow_builds']} = {ratio:.1f}x")
-        if ratio < FLOW_BUILD_SAVINGS:
-            fail("flow reuse savings",
-                 f"{line} (< {FLOW_BUILD_SAVINGS}x, hard)")
+        p_now, p_then = now["solve_p99_us"], then["solve_p99_us"]
+        line = f"{section}: flow p99 {p_now:.1f}us vs baseline {p_then:.1f}us"
+        if p_then > 0 and p_now > FLOW_P99_FAIL * p_then:
+            fail("flow p99 regression",
+                 f"{line} (> {FLOW_P99_FAIL:.0f}x, hard)")
+        elif p_then > 0 and p_now > FLOW_P99_WARN * p_then:
+            warn("flow p99 regression",
+                 f"{line} (> {FLOW_P99_WARN:.0f}x, soft)")
         else:
             print(line + " (OK)")
 
