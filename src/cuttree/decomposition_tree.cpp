@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 
-#include "graph/subset_view.hpp"
 #include "hypergraph/hypergraph.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -139,18 +138,21 @@ DecompositionTreeResult build_decomposition_tree_run(
     // built from the cluster's own adjacency in O(vol(cluster)): inside
     // edges are taken once (from the smaller endpoint) and added in
     // ascending edge id, the order a scan of g.edges() would yield.
-    const ht::graph::SubsetView view(g, vertices);
+    ht::WorkArena::Remap local = ht::WorkArena::local().begin_remap(n);
+    for (std::size_t i = 0; i < vertices.size(); ++i)
+      local.set(vertices[i], static_cast<VertexId>(i));
     std::vector<ht::graph::EdgeId> edges;
     for (VertexId v : vertices) {
       for (const ht::graph::AdjEntry& a : g.neighbors(v))
-        if (v < a.to && view.contains(a.to)) edges.push_back(a.edge);
+        if (v < a.to && local.get(a.to) != -1) edges.push_back(a.edge);
       reads += static_cast<std::uint64_t>(g.degree(v));
     }
     std::sort(edges.begin(), edges.end());
-    ht::hypergraph::Hypergraph wrapper(view.size());
+    ht::hypergraph::Hypergraph wrapper(
+        static_cast<VertexId>(vertices.size()));
     for (ht::graph::EdgeId id : edges) {
       const ht::graph::Edge& e = g.edge(id);
-      wrapper.add_edge({view.local_of(e.u), view.local_of(e.v)}, e.weight);
+      wrapper.add_edge({local.get(e.u), local.get(e.v)}, e.weight);
     }
     wrapper.finalize();
 
@@ -175,14 +177,13 @@ DecompositionTreeResult build_decomposition_tree_run(
           in_small[static_cast<std::size_t>(local)] = true;
         std::vector<VertexId> small, large;
         for (std::size_t i = 0; i < vertices.size(); ++i)
-          (in_small[i] ? small : large)
-              .push_back(view.old_of(static_cast<VertexId>(i)));
+          (in_small[i] ? small : large).push_back(vertices[i]);
         parts.push_back(std::move(small));
         parts.push_back(std::move(large));
       }
     }
     // Label every vertex with its part (the oracle may have reused this
-    // thread's remap, so the view's is not trusted past this point).
+    // thread's remap, so `local` is not trusted past this point).
     ht::WorkArena::Remap side = ht::WorkArena::local().begin_remap(n);
     for (std::size_t p = 0; p < parts.size(); ++p)
       for (VertexId v : parts[p]) side.set(v, static_cast<std::int32_t>(p));

@@ -1,8 +1,9 @@
 // Incremental hyperedge-cut tracker over a side indicator.
 //
 // Maintains per-hyperedge pin counts on side 1 so that flipping one vertex
-// updates the cut weight in O(degree). Shared by the sparsest-cut sweep,
-// the unbalanced-k-cut portfolio and phase 1 of Theorem 1.
+// updates the cut weight in O(degree). Shared by FM refinement, the
+// multilevel rebalancer, the sparsest-cut sweep, the unbalanced-k-cut
+// portfolio and phase 1 of Theorem 1.
 #pragma once
 
 #include <algorithm>
@@ -69,6 +70,10 @@ class CutTracker {
   }
 
   double cut() const { return cut_; }
+  /// Pins of hyperedge e currently on side 1.
+  std::int32_t pins_on_side(ht::hypergraph::EdgeId e) const {
+    return pins_on_side_[static_cast<std::size_t>(e)];
+  }
   std::int64_t side_count() const { return side_count_; }
   bool on_side(ht::hypergraph::VertexId v) const {
     return side_[static_cast<std::size_t>(v)];

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+
+#include "partition/cut_tracker.hpp"
 
 namespace ht::partition {
 
@@ -11,50 +14,20 @@ using ht::hypergraph::VertexId;
 
 namespace {
 
-/// Pin counts per side for every hyperedge, kept incrementally.
-struct PinCounts {
-  std::vector<std::int32_t> on_side[2];
+/// (gain, vertex).
+using GainEntry = std::pair<double, VertexId>;
+using GainHeap = std::vector<GainEntry>;
 
-  void build(const Hypergraph& h, const std::vector<bool>& side) {
-    for (auto& s : on_side)
-      s.assign(static_cast<std::size_t>(h.num_edges()), 0);
-    for (EdgeId e = 0; e < h.num_edges(); ++e)
-      for (VertexId v : h.pins(e))
-        ++on_side[side[static_cast<std::size_t>(v)] ? 1 : 0]
-                 [static_cast<std::size_t>(e)];
-  }
+/// Max-heap order for std::push_heap / std::pop_heap: the top has the
+/// largest gain, ties to the smallest vertex id.
+bool lower_priority(const GainEntry& a, const GainEntry& b) {
+  return a.first < b.first || (a.first == b.first && a.second > b.second);
+}
 
-  double cut(const Hypergraph& h) const {
-    double total = 0.0;
-    for (EdgeId e = 0; e < h.num_edges(); ++e)
-      if (on_side[0][static_cast<std::size_t>(e)] > 0 &&
-          on_side[1][static_cast<std::size_t>(e)] > 0)
-        total += h.edge_weight(e);
-    return total;
-  }
-
-  /// Cut-weight change if v moves from `from` to 1-from.
-  double gain(const Hypergraph& h, VertexId v, int from) const {
-    double g = 0.0;
-    const int to = 1 - from;
-    for (EdgeId e : h.incident_edges(v)) {
-      const auto idx = static_cast<std::size_t>(e);
-      if (on_side[from][idx] == 1 && on_side[to][idx] > 0)
-        g += h.edge_weight(e);  // edge becomes uncut
-      else if (on_side[to][idx] == 0)
-        g -= h.edge_weight(e);  // edge becomes cut
-    }
-    return g;
-  }
-
-  void apply_move(const Hypergraph& h, VertexId v, int from) {
-    for (EdgeId e : h.incident_edges(v)) {
-      const auto idx = static_cast<std::size_t>(e);
-      --on_side[from][idx];
-      ++on_side[1 - from][idx];
-    }
-  }
-};
+void pop_top(GainHeap& q) {
+  std::pop_heap(q.begin(), q.end(), lower_priority);
+  q.pop_back();
+}
 
 }  // namespace
 
@@ -71,47 +44,96 @@ BisectionSolution fm_refine(const Hypergraph& h, std::vector<bool> start,
     HT_CHECK_MSG(count1 == half, "start partition unbalanced");
   }
 
-  PinCounts counts;
-  counts.build(h, start);
-  double current_cut = counts.cut(h);
+  CutTracker tracker(h);
+  tracker.build(start);
 
   BisectionSolution best;
-  best.side = start;
-  best.cut = current_cut;
+  best.side = std::move(start);
+  best.cut = tracker.cut();
   best.valid = true;
 
+  const auto un = static_cast<std::size_t>(n);
+  std::vector<double> gain(un);
+  std::vector<bool> locked(un);
+  std::vector<VertexId> dirty_at(un);
+  std::vector<VertexId> dirty;
+  std::vector<VertexId> move_sequence;
+  std::vector<double> cut_after_move;
+  move_sequence.reserve(un);
+  cut_after_move.reserve(un);
+  // One lazy max-heap per side: an entry is stale once its vertex is
+  // locked or its gain has changed, and is dropped when it reaches the top.
+  GainHeap heap[2];
+
   for (int pass = 0; pass < max_passes; ++pass) {
-    std::vector<bool> side = best.side;
-    counts.build(h, side);
+    if (pass > 0) tracker.build(best.side);
     double cut = best.cut;
     VertexId on_one = half;
+    std::fill(locked.begin(), locked.end(), false);
+    std::fill(dirty_at.begin(), dirty_at.end(), -1);
+    move_sequence.clear();
+    cut_after_move.clear();
 
-    std::vector<bool> locked(static_cast<std::size_t>(n), false);
-    std::vector<VertexId> move_sequence;
-    std::vector<double> cut_after_move;
-    move_sequence.reserve(static_cast<std::size_t>(n));
+    heap[0].clear();
+    heap[1].clear();
+    for (VertexId v = 0; v < n; ++v) {
+      gain[static_cast<std::size_t>(v)] = -tracker.flip_delta(v);
+      heap[tracker.on_side(v) ? 1 : 0].push_back(
+          {gain[static_cast<std::size_t>(v)], v});
+    }
+    for (GainHeap& q : heap) std::make_heap(q.begin(), q.end(), lower_priority);
+    const auto drop_stale = [&](GainHeap& q) {
+      while (!q.empty()) {
+        const auto [g, v] = q.front();
+        if (!locked[static_cast<std::size_t>(v)] &&
+            g == gain[static_cast<std::size_t>(v)])
+          break;
+        pop_top(q);
+      }
+    };
 
     for (VertexId step = 0; step < n; ++step) {
-      VertexId best_v = -1;
-      double best_gain = 0.0;
-      // Balance rule: imbalance after the move must stay within 1 vertex.
-      for (VertexId v = 0; v < n; ++v) {
-        if (locked[static_cast<std::size_t>(v)]) continue;
-        const int from = side[static_cast<std::size_t>(v)] ? 1 : 0;
-        const VertexId new_on_one = on_one + (from == 0 ? 1 : -1);
-        if (std::abs(new_on_one - half) > 1) continue;
-        const double gain = counts.gain(h, v, from);
-        if (best_v == -1 || gain > best_gain) {
-          best_v = v;
-          best_gain = gain;
+      // Balance rule: imbalance after the move must stay within 1 vertex,
+      // so side 0 may move while on_one <= half, side 1 while >= half.
+      drop_stale(heap[0]);
+      drop_stale(heap[1]);
+      const bool can0 = on_one <= half && !heap[0].empty();
+      const bool can1 = on_one >= half && !heap[1].empty();
+      if (!can0 && !can1) break;
+      const bool take1 =
+          !can0 || (can1 && lower_priority(heap[0].front(), heap[1].front()));
+      const int from = take1 ? 1 : 0;
+      const VertexId best_v = heap[from].front().second;
+      pop_top(heap[from]);
+      const double best_gain = gain[static_cast<std::size_t>(best_v)];
+
+      // Pins whose gain can change: those of nets that pass through a
+      // critical pin count (0, 1, size-1 or size on side 1).
+      dirty.clear();
+      for (EdgeId e : h.incident_edges(best_v)) {
+        const std::int32_t size = h.edge_size(e);
+        const std::int32_t before = tracker.pins_on_side(e);
+        const std::int32_t after = before + (from == 0 ? 1 : -1);
+        if (before > 1 && before < size - 1 && after > 1 && after < size - 1)
+          continue;
+        for (VertexId u : h.pins(e)) {
+          const auto idx = static_cast<std::size_t>(u);
+          if (locked[idx] || u == best_v || dirty_at[idx] == step) continue;
+          dirty_at[idx] = step;
+          dirty.push_back(u);
         }
       }
-      if (best_v == -1) break;
-      const int from = side[static_cast<std::size_t>(best_v)] ? 1 : 0;
-      counts.apply_move(h, best_v, from);
-      side[static_cast<std::size_t>(best_v)] = (from == 0);
-      on_one += (from == 0 ? 1 : -1);
+      tracker.flip(best_v);
       locked[static_cast<std::size_t>(best_v)] = true;
+      on_one += (from == 0 ? 1 : -1);
+      for (VertexId u : dirty) {
+        const double g = -tracker.flip_delta(u);
+        if (g == gain[static_cast<std::size_t>(u)]) continue;  // still current
+        gain[static_cast<std::size_t>(u)] = g;
+        GainHeap& q = heap[tracker.on_side(u) ? 1 : 0];
+        q.push_back({g, u});
+        std::push_heap(q.begin(), q.end(), lower_priority);
+      }
       cut -= best_gain;
       move_sequence.push_back(best_v);
       cut_after_move.push_back(on_one == half ? cut : 1e300);
@@ -127,12 +149,10 @@ BisectionSolution fm_refine(const Hypergraph& h, std::vector<bool> start,
       }
     }
     if (best_prefix == 0) break;  // pass produced no balanced improvement
-    std::vector<bool> improved = best.side;
     for (std::size_t i = 0; i < best_prefix; ++i) {
       const auto v = static_cast<std::size_t>(move_sequence[i]);
-      improved[v] = !improved[v];
+      best.side[v] = !best.side[v];
     }
-    best.side = std::move(improved);
     best.cut = best_prefix_cut;
   }
   // Re-evaluate combinatorially: the reported cut is never the incremental
@@ -144,6 +164,7 @@ BisectionSolution fm_refine(const Hypergraph& h, std::vector<bool> start,
 BisectionSolution fm_bisection(const Hypergraph& h, ht::Rng& rng, int starts,
                                int max_passes) {
   HT_CHECK(h.num_vertices() % 2 == 0 && h.num_vertices() >= 2);
+  HT_CHECK_MSG(starts >= 1, "fm_bisection needs starts >= 1, got " << starts);
   const VertexId n = h.num_vertices();
   BisectionSolution best;
   for (int s = 0; s < starts; ++s) {

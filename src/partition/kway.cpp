@@ -2,8 +2,7 @@
 
 #include <algorithm>
 
-#include "hypergraph/subset_view.hpp"
-#include "partition/fm_fast.hpp"
+#include "partition/fm.hpp"
 #include "partition/unbalanced_kcut.hpp"
 
 namespace ht::partition {
@@ -84,10 +83,7 @@ void recurse(const Hypergraph& h, const std::vector<VertexId>& vertices,
       out[static_cast<std::size_t>(v)] = first_part;
     return;
   }
-  // View of the piece; FM needs a concrete hypergraph, so this is a
-  // materialization boundary.
-  const ht::hypergraph::SubsetView view(h, vertices);
-  const auto sub = view.materialize();
+  const auto sub = ht::hypergraph::induced_subhypergraph(h, vertices);
   BisectionSolution bisection;
   if (sub.hypergraph.num_edges() == 0) {
     bisection.side.assign(vertices.size(), false);
@@ -95,12 +91,11 @@ void recurse(const Hypergraph& h, const std::vector<VertexId>& vertices,
       bisection.side[i] = true;
     bisection.valid = true;
   } else {
-    bisection = fm_bisection_fast(sub.hypergraph, rng, 4);
+    bisection = fm_bisection(sub.hypergraph, rng, 4);
   }
   std::vector<VertexId> left, right;
   for (std::size_t i = 0; i < vertices.size(); ++i)
-    (bisection.side[i] ? right : left)
-        .push_back(view.old_of(static_cast<VertexId>(i)));
+    (bisection.side[i] ? right : left).push_back(vertices[i]);
   recurse(h, left, parts / 2, first_part, out, rng);
   recurse(h, right, parts / 2, first_part + parts / 2, out, rng);
 }
@@ -130,8 +125,7 @@ KWaySolution kway_peel(const Hypergraph& h, std::int32_t k, ht::Rng& rng) {
   std::vector<VertexId> remaining(static_cast<std::size_t>(n));
   for (VertexId v = 0; v < n; ++v) remaining[static_cast<std::size_t>(v)] = v;
   for (std::int32_t p = 0; p + 1 < k; ++p) {
-    const ht::hypergraph::SubsetView view(h, remaining);
-    const auto sub = view.materialize();
+    const auto sub = ht::hypergraph::induced_subhypergraph(h, remaining);
     std::vector<VertexId> peeled_local;
     if (sub.hypergraph.num_edges() == 0 ||
         static_cast<VertexId>(remaining.size()) <= per) {
@@ -143,7 +137,7 @@ KWaySolution kway_peel(const Hypergraph& h, std::int32_t k, ht::Rng& rng) {
     }
     std::vector<bool> peeled(remaining.size(), false);
     for (VertexId local : peeled_local) {
-      part[static_cast<std::size_t>(view.old_of(local))] = p;
+      part[static_cast<std::size_t>(remaining[static_cast<std::size_t>(local)])] = p;
       peeled[static_cast<std::size_t>(local)] = true;
     }
     std::vector<VertexId> next;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "partition/cut_tracker.hpp"
-#include "partition/fm_fast.hpp"
 
 namespace ht::partition {
 
@@ -226,7 +225,7 @@ BisectionSolution multilevel_bisection(const Hypergraph& h, ht::Rng& rng,
     tracker.flip(pick);
     on_one += from_one ? -1 : 1;
   }
-  BisectionSolution refined = fm_refine_fast(h, tracker.side(), 8);
+  BisectionSolution refined = fm_refine(h, tracker.side(), 8);
   return refined;
 }
 

@@ -16,8 +16,7 @@ PerfCounters::PerfCounters()
       max_flow_calls_(registry().counter("flow.max_flow_calls")),
       tasks_(registry().counter("pool.tasks")),
       max_queue_depth_(registry().gauge("pool.max_queue_depth")),
-      flow_builds_(registry().counter("flow.builds")),
-      materializations_(registry().counter("view.materializations")) {}
+      flow_builds_(registry().counter("flow.builds")) {}
 
 PerfCounters& PerfCounters::global() {
   // Never destroyed, like MetricsRegistry::global(): a pool worker counts
@@ -61,8 +60,7 @@ std::string PerfCounters::report() const {
   os << "perf: pieces=" << pieces() << " max_flow_calls=" << max_flow_calls()
      << " pool_tasks=" << tasks() << " max_queue_depth=" << max_queue_depth()
      << "\n";
-  os << "perf: flow_builds=" << flow_builds()
-     << " materializations=" << materializations() << "\n";
+  os << "perf: flow_builds=" << flow_builds() << "\n";
   for (const auto& [name, seconds] : phase_times()) {
     os << "perf: phase " << name << " = " << seconds << " s (aggregate)\n";
   }

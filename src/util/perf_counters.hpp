@@ -45,9 +45,6 @@ class PerfCounters {
   /// FlowNetwork constructed (one per point query, one per Gomory–Hu
   /// build).
   void add_flow_build() { flow_builds_.add(); }
-  /// A SubsetView materialized a concrete induced sub(hyper)graph (oracle
-  /// or contract() boundary).
-  void add_materialization() { materializations_.add(); }
 
   /// Accumulates wall time under a phase name (see PhaseTimer). Parallel
   /// sections add per-thread elapsed time, so a phase can exceed the
@@ -61,9 +58,6 @@ class PerfCounters {
     return static_cast<std::uint64_t>(max_queue_depth_.value());
   }
   std::uint64_t flow_builds() const { return flow_builds_.value(); }
-  std::uint64_t materializations() const {
-    return materializations_.value();
-  }
   /// Phase totals sorted by phase name, so report output and bench JSON
   /// are stable regardless of which thread registered a phase first.
   std::vector<std::pair<std::string, double>> phase_times() const;
@@ -82,7 +76,6 @@ class PerfCounters {
   obs::Counter& tasks_;
   obs::Gauge& max_queue_depth_;
   obs::Counter& flow_builds_;
-  obs::Counter& materializations_;
   mutable std::mutex phase_mutex_;
   std::vector<std::pair<std::string, double>> phases_;
 };

@@ -2,8 +2,9 @@
 //
 // Two services, both allocation-free on the steady path:
 //
-//  * Epoch-stamped remaps: SubsetView needs an old-id -> local-id map over
-//    the parent universe at every recursion level. Allocating (or clearing)
+//  * Epoch-stamped remaps: the decomposition-tree split oracle and the
+//    Theorem 1 profile gap-fill need an old-id -> local-id map over the
+//    parent universe at every recursion level. Allocating (or clearing)
 //    an O(n) array per level turns the recursion quadratic in allocations;
 //    the arena instead keeps one stamp array per thread and invalidates it
 //    by bumping an epoch counter, so begin_remap() is O(1) amortized.

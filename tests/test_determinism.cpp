@@ -122,9 +122,9 @@ TEST(Determinism, GomoryHuOneNetworkAtFourThreads) {
 }
 
 TEST(Determinism, VertexCutTreeViewPathAcrossThreadCounts) {
-  // Deep-recursion configuration: every wave runs SubsetView + the
-  // vertex-cut flow arena on worker threads (thread-local remaps), so this
-  // pins the refactored view path, not just the top-level split.
+  // Deep-recursion configuration: every wave copies its induced piece and
+  // runs the vertex-cut flow on worker threads, so this pins the per-piece
+  // path, not just the top-level split.
   ht::Rng rng(2024);
   const auto g = ht::graph::gnp_connected(60, 5.0 / 60, rng);
   ht::cuttree::VertexCutTreeOptions opt;
@@ -138,7 +138,8 @@ TEST(Determinism, VertexCutTreeViewPathAcrossThreadCounts) {
 }
 
 TEST(Determinism, KWayRecursiveBisectionAcrossRuns) {
-  // kway uses SubsetView at every recursion level; same seed, same part.
+  // kway copies an induced piece at every recursion level; same seed,
+  // same part.
   ht::Rng rng(31);
   const auto h = ht::hypergraph::random_uniform(32, 64, 3, rng);
   ht::Rng r1(5), r2(5);

@@ -1,5 +1,5 @@
-// Equivalence of the reset-and-reuse flow network and subgraph views with
-// the build-per-call / copy-per-level paths they replaced.
+// Equivalence of the reset-and-reuse flow network with the build-per-call
+// path it replaced.
 //
 // Two layers of evidence:
 //  * Direct A/B on FlowNetwork, for all three expansions: one network
@@ -27,9 +27,7 @@
 #include "flow/flow_network.hpp"
 #include "flow/cut_engine.hpp"
 #include "graph/generators.hpp"
-#include "graph/subset_view.hpp"
 #include "hypergraph/generators.hpp"
-#include "hypergraph/subset_view.hpp"
 #include "obs/metrics.hpp"
 #include "util/perf_counters.hpp"
 #include "util/piece_allocator.hpp"
@@ -302,78 +300,9 @@ TEST(FlowEngine, ArenaAgreesWithReferenceDinic) {
   }
 }
 
-TEST(SubsetView, GraphMaterializeMatchesInducedSubgraph) {
-  ht::Rng rng(57);
-  for (int round = 0; round < 10; ++round) {
-    const auto n = static_cast<std::int32_t>(15 + rng.next_below(30));
-    const auto g = ht::graph::gnp_connected(n, 4.0 / n, rng);
-    std::vector<ht::graph::VertexId> subset;
-    for (ht::graph::VertexId v = 0; v < n; ++v)
-      if (rng.next_below(3) != 0) subset.push_back(v);
-    if (subset.empty()) continue;
-    const ht::graph::SubsetView view(g, subset);
-    const auto a = view.materialize();
-    const auto b = ht::graph::induced_subgraph(g, subset);
-    ASSERT_EQ(a.old_of_new, b.old_of_new);
-    ASSERT_EQ(a.graph.num_vertices(), b.graph.num_vertices());
-    ASSERT_EQ(a.graph.num_edges(), b.graph.num_edges());
-    for (ht::graph::EdgeId e = 0; e < a.graph.num_edges(); ++e) {
-      EXPECT_EQ(a.graph.edge(e).u, b.graph.edge(e).u);
-      EXPECT_EQ(a.graph.edge(e).v, b.graph.edge(e).v);
-      EXPECT_EQ(a.graph.edge(e).weight, b.graph.edge(e).weight);
-    }
-    for (ht::graph::VertexId v = 0; v < a.graph.num_vertices(); ++v)
-      EXPECT_EQ(a.graph.vertex_weight(v), b.graph.vertex_weight(v));
-    // Round-trip id maps agree with the copies.
-    for (std::size_t i = 0; i < subset.size(); ++i)
-      EXPECT_EQ(view.old_of(static_cast<ht::graph::VertexId>(i)), subset[i]);
-  }
-}
-
-TEST(SubsetView, HypergraphMaterializeMatchesInducedSubhypergraph) {
-  ht::Rng rng(58);
-  for (int round = 0; round < 10; ++round) {
-    const auto n = static_cast<std::int32_t>(15 + rng.next_below(25));
-    const auto h = ht::hypergraph::random_uniform(n, 2 * n, 3, rng);
-    std::vector<ht::hypergraph::VertexId> subset;
-    for (ht::hypergraph::VertexId v = 0; v < n; ++v)
-      if (rng.next_below(3) != 0) subset.push_back(v);
-    if (subset.empty()) continue;
-    const ht::hypergraph::SubsetView view(h, subset);
-    const auto a = view.materialize();
-    const auto b = ht::hypergraph::induced_subhypergraph(h, subset);
-    ASSERT_EQ(a.old_of_new, b.old_of_new);
-    ASSERT_EQ(a.hypergraph.num_vertices(), b.hypergraph.num_vertices());
-    ASSERT_EQ(a.hypergraph.num_edges(), b.hypergraph.num_edges());
-    for (ht::hypergraph::EdgeId e = 0; e < a.hypergraph.num_edges(); ++e) {
-      EXPECT_EQ(a.hypergraph.edge_weight(e), b.hypergraph.edge_weight(e));
-      ASSERT_EQ(a.hypergraph.edge_size(e), b.hypergraph.edge_size(e));
-      for (std::int32_t i = 0; i < a.hypergraph.edge_size(e); ++i)
-        EXPECT_EQ(a.hypergraph.pins(e)[static_cast<std::size_t>(i)],
-                  b.hypergraph.pins(e)[static_cast<std::size_t>(i)]);
-    }
-    for (ht::hypergraph::VertexId v = 0; v < a.hypergraph.num_vertices(); ++v)
-      EXPECT_EQ(a.hypergraph.vertex_weight(v),
-                b.hypergraph.vertex_weight(v));
-  }
-}
-
-TEST(SubsetView, LocalOfIsInverseOfOldOf) {
-  ht::Rng rng(59);
-  const auto g = ht::graph::gnp_connected(30, 4.0 / 30, rng);
-  std::vector<ht::graph::VertexId> subset{2, 5, 7, 11, 23, 29};
-  const ht::graph::SubsetView view(g, subset);
-  for (std::size_t i = 0; i < subset.size(); ++i)
-    EXPECT_EQ(view.local_of(subset[i]),
-              static_cast<ht::graph::VertexId>(i));
-  EXPECT_EQ(view.local_of(0), -1);
-  EXPECT_FALSE(view.contains(1));
-  EXPECT_TRUE(view.contains(23));
-}
-
 // --- goldens captured from the pre-refactor seed build -------------------
-// A failure here means the refactor changed an output byte; the arena /
-// view paths are required to be observationally identical.
+// A failure here means the refactor changed an output byte; the arena
+// paths are required to be observationally identical.
 
 TEST(FlowEngineGolden, DecompositionTreeUnchanged) {
   ht::Rng rng(4242);
@@ -393,7 +322,8 @@ TEST(FlowEngineGolden, VertexCutTreeUnchanged) {
 
 TEST(FlowEngineGolden, VertexCutTreeDeepRecursionUnchanged) {
   // threshold_override high enough to force splits all the way down — the
-  // path that exercises SubsetView + the vertex-cut flow arena hardest.
+  // path that exercises the per-piece copies and the vertex-cut flow
+  // hardest.
   ht::Rng rng(2024);
   const auto g = ht::graph::gnp_connected(60, 5.0 / 60, rng);
   ht::cuttree::VertexCutTreeOptions opt;
@@ -476,59 +406,6 @@ TEST(FlowEngine, PoolAllocatorMetricsRegister) {
     (void)engine.min_edge_cut(g, {0}, {g.num_vertices() - 1});
   EXPECT_GT(ht::WorkArena::local().pieces().bytes_reserved(), 0u);
   EXPECT_GT(reuse.value(), reuse_before);
-}
-
-TEST(SubsetView, EmptySubsetsAreValidAndMaterializeEmpty) {
-  ht::Rng rng(7);
-  const auto g = ht::graph::gnp_connected(12, 0.4, rng);
-  {
-    const ht::graph::SubsetView view(g, {});
-    EXPECT_EQ(view.size(), 0);
-    EXPECT_FALSE(view.contains(0));
-    EXPECT_DOUBLE_EQ(view.total_vertex_weight(), 0.0);
-    const auto sub = view.materialize();
-    EXPECT_EQ(sub.graph.num_vertices(), 0);
-    EXPECT_TRUE(sub.old_of_new.empty());
-  }
-  ht::Rng hrng(8);
-  const auto h = ht::hypergraph::random_uniform(12, 24, 3, hrng);
-  {
-    const ht::hypergraph::SubsetView view(h, {});
-    EXPECT_EQ(view.size(), 0);
-    EXPECT_FALSE(view.contains(0));
-    EXPECT_DOUBLE_EQ(view.total_vertex_weight(), 0.0);
-    const auto sub = view.materialize();
-    EXPECT_EQ(sub.hypergraph.num_vertices(), 0);
-    EXPECT_EQ(sub.hypergraph.num_edges(), 0);
-  }
-}
-
-TEST(SubsetView, SingletonSubsetsKeepTheVertexAndDropAllEdges) {
-  ht::Rng rng(9);
-  const auto g = ht::graph::gnp_connected(10, 0.5, rng);
-  {
-    const ht::graph::SubsetView view(g, {4});
-    EXPECT_EQ(view.size(), 1);
-    EXPECT_EQ(view.old_of(0), 4);
-    EXPECT_EQ(view.local_of(4), 0);
-    EXPECT_EQ(view.local_of(5), -1);
-    EXPECT_DOUBLE_EQ(view.total_vertex_weight(), g.vertex_weight(4));
-    const auto sub = view.materialize();
-    EXPECT_EQ(sub.graph.num_vertices(), 1);
-    EXPECT_EQ(sub.graph.num_edges(), 0);  // no 2-pin edge survives
-  }
-  ht::Rng hrng(10);
-  const auto h = ht::hypergraph::random_uniform(10, 30, 3, hrng);
-  {
-    const ht::hypergraph::SubsetView view(h, {4});
-    EXPECT_EQ(view.size(), 1);
-    EXPECT_EQ(view.old_of(0), 4);
-    EXPECT_TRUE(view.contains(4));
-    EXPECT_FALSE(view.contains(3));
-    const auto sub = view.materialize();
-    EXPECT_EQ(sub.hypergraph.num_vertices(), 1);
-    EXPECT_EQ(sub.hypergraph.num_edges(), 0);  // < 2 surviving pins
-  }
 }
 
 }  // namespace

@@ -100,6 +100,25 @@ TEST(Graph, InducedSubgraph) {
   EXPECT_EQ(sub.old_of_new[0], 1);
 }
 
+TEST(Graph, InducedSubgraphOfEmptySubsetIsEmpty) {
+  ht::Rng rng(7);
+  const Graph g = ht::graph::gnp_connected(12, 0.4, rng);
+  const auto sub = ht::graph::induced_subgraph(g, {});
+  EXPECT_EQ(sub.graph.num_vertices(), 0);
+  EXPECT_EQ(sub.graph.num_edges(), 0);
+  EXPECT_TRUE(sub.old_of_new.empty());
+}
+
+TEST(Graph, InducedSubgraphOfSingletonKeepsTheVertexAndDropsAllEdges) {
+  ht::Rng rng(9);
+  const Graph g = ht::graph::gnp_connected(10, 0.5, rng);
+  const auto sub = ht::graph::induced_subgraph(g, {4});
+  EXPECT_EQ(sub.graph.num_vertices(), 1);
+  EXPECT_EQ(sub.graph.num_edges(), 0);
+  EXPECT_EQ(sub.old_of_new, std::vector<VertexId>{4});
+  EXPECT_DOUBLE_EQ(sub.graph.vertex_weight(0), g.vertex_weight(4));
+}
+
 TEST(Graph, InducedSubgraphRejectsDuplicates) {
   Graph g = ht::graph::path(4);
   EXPECT_THROW(ht::graph::induced_subgraph(g, {1, 1}), std::logic_error);

@@ -111,6 +111,24 @@ TEST(Hypergraph, InducedSubhypergraphDropsSmallEdges) {
   EXPECT_EQ(sub.hypergraph.edge_size(0), 3);
 }
 
+TEST(Hypergraph, InducedSubhypergraphOfEmptySubsetIsEmpty) {
+  ht::Rng rng(8);
+  const Hypergraph h = ht::hypergraph::random_uniform(12, 24, 3, rng);
+  const auto sub = ht::hypergraph::induced_subhypergraph(h, {});
+  EXPECT_EQ(sub.hypergraph.num_vertices(), 0);
+  EXPECT_EQ(sub.hypergraph.num_edges(), 0);
+  EXPECT_TRUE(sub.old_of_new.empty());
+}
+
+TEST(Hypergraph, InducedSubhypergraphOfSingletonKeepsTheVertexAndDropsAllEdges) {
+  ht::Rng rng(10);
+  const Hypergraph h = ht::hypergraph::random_uniform(10, 30, 3, rng);
+  const auto sub = ht::hypergraph::induced_subhypergraph(h, {4});
+  EXPECT_EQ(sub.hypergraph.num_vertices(), 1);
+  EXPECT_EQ(sub.hypergraph.num_edges(), 0);  // < 2 surviving pins
+  EXPECT_EQ(sub.old_of_new, std::vector<VertexId>{4});
+}
+
 TEST(Hypergraph, ConnectedComponents) {
   Hypergraph h(6);
   h.add_edge({0, 1, 2});

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "hypergraph/generators.hpp"
@@ -11,6 +15,7 @@
 #include "partition/sparsest_cut.hpp"
 #include "partition/unbalanced_kcut.hpp"
 #include "reduction/clique_expansion.hpp"
+#include "util/hash64.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -165,6 +170,101 @@ TEST(Fm, RejectsUnbalancedStart) {
   EXPECT_THROW(
       ht::partition::fm_refine(h, {true, true, true, false}),
       std::logic_error);
+}
+
+TEST(Fm, RejectsZeroStarts) {
+  // With no start there is no solution to return; the caller would get an
+  // invalid, empty side.
+  ht::Rng rng(19);
+  const Hypergraph h = ht::hypergraph::random_uniform(10, 16, 3, rng);
+  EXPECT_THROW(ht::partition::fm_bisection(h, rng, 0), std::logic_error);
+}
+
+TEST(Fm, WeightedEdgesRespected) {
+  // Heavy edge must not be cut when a cheap alternative exists.
+  Hypergraph h(4);
+  h.add_edge({0, 1}, 100.0);
+  h.add_edge({2, 3}, 100.0);
+  h.add_edge({1, 2}, 1.0);
+  h.finalize();
+  const auto sol = ht::partition::fm_refine(
+      h, {true, false, true, false});  // bad start cuts both heavies
+  ht::partition::validate_bisection(h, sol);
+  EXPECT_DOUBLE_EQ(sol.cut, 1.0);
+}
+
+// Random balanced side indicator over n vertices.
+std::vector<bool> random_balanced_start(VertexId n, ht::Rng& rng) {
+  std::vector<VertexId> perm(static_cast<std::size_t>(n));
+  for (VertexId v = 0; v < n; ++v) perm[static_cast<std::size_t>(v)] = v;
+  rng.shuffle(perm);
+  std::vector<bool> start(static_cast<std::size_t>(n), false);
+  for (VertexId i = 0; i < n / 2; ++i)
+    start[static_cast<std::size_t>(perm[static_cast<std::size_t>(i)])] = true;
+  return start;
+}
+
+class FmCrossCheck : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FmCrossCheck, FastMatchesReferenceQuality) {
+  // The heap FM against the exact bisection as reference: from random
+  // balanced starts it never beats the optimum and never ends above its
+  // start cut.
+  ht::Rng rng(GetParam());
+  const Hypergraph h = ht::hypergraph::random_uniform(16, 28, 3, rng);
+  const double opt = ht::partition::exact_hypergraph_bisection(h).cut;
+  for (int trial = 0; trial < 4; ++trial) {
+    const std::vector<bool> start = random_balanced_start(16, rng);
+    const double start_cut = h.cut_weight(start);
+    const auto sol = ht::partition::fm_refine(h, start);
+    ht::partition::validate_bisection(h, sol);
+    EXPECT_GE(sol.cut, opt - 1e-9);
+    EXPECT_LE(sol.cut, start_cut + 1e-9);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FmCrossCheck,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// Appends fm_refine's side and exact cut bits for `starts` random
+// balanced starts on h.
+void append_fm_refine_outputs(const Hypergraph& h, int starts, ht::Rng& rng,
+                              std::string& out) {
+  for (int s = 0; s < starts; ++s) {
+    const auto sol = ht::partition::fm_refine(
+        h, random_balanced_start(h.num_vertices(), rng));
+    for (bool b : sol.side) out.push_back(b ? '1' : '0');
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), " %a\n", sol.cut);
+    out += buf;
+  }
+}
+
+TEST(Fm, RefineGoldenUnchanged) {
+  // Sides and exact cuts of fm_refine on three families, several starts
+  // each: the hash pins every move choice, ties to the smallest id
+  // included.
+  ht::Rng rng(2024);
+  std::string out;
+  for (int i = 0; i < 4; ++i) {
+    const Hypergraph h = ht::hypergraph::random_uniform(40, 80, 3, rng);
+    append_fm_refine_outputs(h, 3, rng, out);
+  }
+  for (int i = 0; i < 4; ++i) {
+    const Hypergraph h =
+        ht::hypergraph::planted_bisection(30, 3, 120, 6, rng);
+    append_fm_refine_outputs(h, 3, rng, out);
+  }
+  for (int i = 0; i < 4; ++i) {
+    Hypergraph h(50);
+    for (int e = 0; e < 100; ++e) {
+      const auto pins = rng.sample_without_replacement(50, 3);
+      h.add_edge(pins, 1.0 + static_cast<double>(rng.next_int(0, 8)) / 4.0);
+    }
+    h.finalize();
+    append_fm_refine_outputs(h, 3, rng, out);
+  }
+  EXPECT_EQ(ht::hash64(out.data(), out.size()), 0x439f30a47464e064ULL);
 }
 
 TEST(Fm, ValidatorCatchesCorruptedSolution) {

@@ -17,8 +17,12 @@ serve mode
   soft (``::warning``, exit 0)   p99 > 2x baseline, qps < 0.5x baseline,
                                  flight-recorder overhead >= 2%
   hard (``::error``, exit 1)     p99 > 4x baseline, qps < 0.2x baseline,
-                                 hot_swap.dropped != 0, or the per-kind
-                                 latency_hist quantiles missing/zero
+                                 hot_swap.dropped != 0, the per-kind
+                                 latency_hist quantiles missing/zero, or
+                                 any deterministic counter of the
+                                 embedded metrics snapshot
+                                 (flow.max_flow_calls, flow.builds,
+                                 engine.pieces) above baseline
 
 flow mode
   soft (``::warning``, exit 0)   wall_ms > 2x baseline,
@@ -74,6 +78,9 @@ OVERHEAD_WARN_PCT = 2.0
 FLOW_WALL_WARN, FLOW_WALL_FAIL = 2.0, 4.0
 FLOW_P99_WARN, FLOW_P99_FAIL = 4.0, 10.0
 FLOW_COUNTERS = ("max_flow_calls", "flow_builds", "augmenting_paths")
+# Counters of bench_serve's embedded metrics snapshot that reproduce
+# exactly at HT_THREADS=1 and 4 (fixed instance and build seeds).
+SERVE_COUNTERS = ("flow.max_flow_calls", "flow.builds", "engine.pieces")
 
 failures = []
 
@@ -87,7 +94,28 @@ def fail(title: str, line: str) -> None:
     print(f"::error title={title}::{line}")
 
 
+def gate_counter(title: str, line: str, now: int, then: int) -> None:
+    """Hard gate on a deterministic counter: any increase is algorithmic."""
+    line = f"{line} {now} vs baseline {then}"
+    if now > then:
+        fail(title, f"{line} (hard)")
+    elif now < then:
+        print(line + " (improved; refresh the baseline)")
+    else:
+        print(line + " (OK)")
+
+
 def diff_serve(current: dict, baseline: dict) -> None:
+    counters_now = current.get("metrics", {}).get("counters", {})
+    counters_then = baseline["metrics"]["counters"]
+    for key in SERVE_COUNTERS:
+        if key not in counters_now:
+            fail("serve counter missing",
+                 f"metrics counter {key!r} absent from BENCH_serve.json")
+            continue
+        gate_counter("serve counter regression", f"metrics: {key}",
+                     counters_now[key], counters_then[key])
+
     for section, hist_key in SECTIONS.items():
         now, then = current[section], baseline[section]
 
@@ -160,14 +188,8 @@ def diff_flow(current: dict, baseline: dict) -> None:
         # Deterministic counters: fixed seeds + fixed traversal order
         # mean these reproduce exactly; any increase is algorithmic.
         for key in FLOW_COUNTERS:
-            c_now, c_then = now[key], then[key]
-            line = f"{section}: {key} {c_now} vs baseline {c_then}"
-            if c_now > c_then:
-                fail("flow counter regression", f"{line} (hard)")
-            elif c_now < c_then:
-                print(line + " (improved; refresh the baseline)")
-            else:
-                print(line + " (OK)")
+            gate_counter("flow counter regression", f"{section}: {key}",
+                         now[key], then[key])
 
         w_now, w_then = now["wall_ms"], then["wall_ms"]
         speedup = w_then / w_now if w_now > 0 else float("inf")
