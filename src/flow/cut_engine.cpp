@@ -8,7 +8,6 @@
 #include "obs/trace.hpp"
 #include "util/perf_counters.hpp"
 #include "util/run_context.hpp"
-#include "util/work_arena.hpp"
 
 namespace ht::flow {
 
@@ -55,25 +54,30 @@ class SolveTimer {
 
 // --- shared helpers --------------------------------------------------------
 
+/// Restores `net`, attaches A and B (attach_* rejects an id out of range or
+/// in both sets) and runs Dinic.
 template <typename VertexT>
-void check_disjoint_nonempty(PieceAllocator::Scope& scope,
-                             const std::vector<VertexT>& a,
-                             const std::vector<VertexT>& b, VertexT n) {
+void run_flow(FlowNetwork& net, const std::vector<VertexT>& a,
+              const std::vector<VertexT>& b) {
   HT_CHECK(!a.empty() && !b.empty());
-  auto mark = scope.alloc_zero<char>(static_cast<std::size_t>(n));
-  for (VertexT v : a) {
-    HT_CHECK(0 <= v && v < n);
-    mark[static_cast<std::size_t>(v)] = 1;
-  }
-  for (VertexT v : b) {
-    HT_CHECK(0 <= v && v < n);
-    HT_CHECK_MSG(mark[static_cast<std::size_t>(v)] == 0,
-                 "A and B intersect at vertex " << v);
-  }
+  net.reset();
+  for (VertexT v : a) net.attach_source(v);
+  for (VertexT v : b) net.attach_sink(v);
+  net.max_flow();
 }
 
-/// One min edge cut query on `net`, an edge_cut_network(g): restores it,
-/// attaches A and B, runs Dinic and reads the witness.
+/// Sorts witness ids ascending and returns their total weight, summed in
+/// that order: the same value, bit for bit, as an ascending scan.
+template <typename Id, typename WeightFn>
+double sort_and_sum(std::vector<Id>& ids, WeightFn&& weight) {
+  std::sort(ids.begin(), ids.end());
+  double total = 0.0;
+  for (const Id id : ids) total += weight(id);
+  return total;
+}
+
+/// One min edge cut query on `net`, an edge_cut_network(g): the cut edges
+/// are those leaving the reached vertices.
 EdgeCutResult solve_edge_cut(FlowNetwork& net, const Graph& g,
                              const std::vector<GraphVertexId>& a,
                              const std::vector<GraphVertexId>& b) {
@@ -82,35 +86,30 @@ EdgeCutResult solve_edge_cut(FlowNetwork& net, const Graph& g,
   span.arg("b", b.size());
   PerfCounters::global().add_max_flow_call();
   SolveTimer timer;
-  PieceAllocator::Scope scope(WorkArena::local().pieces());
-  check_disjoint_nonempty(scope, a, b, g.num_vertices());
+  run_flow(net, a, b);
   const NodeId n = g.num_vertices();
-  net.reset();
-  for (GraphVertexId v : a) net.attach_source(v);
-  for (GraphVertexId v : b) net.attach_sink(v);
-  net.max_flow();
 
   EdgeCutResult out;
   out.complete = net.last_flow_complete();
   const std::vector<char>& reach = net.source_side();
   out.source_side.assign(static_cast<std::size_t>(n), false);
-  for (NodeId v = 0; v < n; ++v)
-    out.source_side[static_cast<std::size_t>(v)] =
-        reach[static_cast<std::size_t>(v)] != 0;
-  for (ht::graph::EdgeId e = 0; e < g.num_edges(); ++e) {
-    const auto& edge = g.edge(e);
-    if (out.source_side[static_cast<std::size_t>(edge.u)] !=
-        out.source_side[static_cast<std::size_t>(edge.v)]) {
-      out.cut_edges.push_back(e);
-      out.value += edge.weight;
-    }
+  for (const NodeId v : net.reached()) {
+    if (v >= n) continue;  // the super source
+    out.source_side[static_cast<std::size_t>(v)] = true;
+    for (const auto& entry : g.neighbors(v))
+      if (!reach[static_cast<std::size_t>(entry.to)])
+        out.cut_edges.push_back(entry.edge);
   }
+  out.value = sort_and_sum(out.cut_edges, [&g](ht::graph::EdgeId e) {
+    return g.edge(e).weight;
+  });
   span.arg("cut_value", out.value);
   span.arg("augmenting_paths", net.last_augmenting_paths());
   return out;
 }
 
-/// One min vertex cut query on `net`, a vertex_cut_network(g).
+/// One min vertex cut query on `net`, a vertex_cut_network(g): v is cut
+/// when v_in = 2v is reached and v_out = 2v+1 is not.
 VertexCutResult solve_vertex_cut(FlowNetwork& net, const Graph& g,
                                  const std::vector<GraphVertexId>& a,
                                  const std::vector<GraphVertexId>& b) {
@@ -119,34 +118,29 @@ VertexCutResult solve_vertex_cut(FlowNetwork& net, const Graph& g,
   span.arg("b", b.size());
   PerfCounters::global().add_max_flow_call();
   SolveTimer timer;
-  PieceAllocator::Scope scope(WorkArena::local().pieces());
-  check_disjoint_nonempty(scope, a, b, g.num_vertices());
-  const GraphVertexId n = g.num_vertices();
-  // Node splitting: v_in = 2v, v_out = 2v+1 (see vertex_cut_network).
-  auto v_in = [](GraphVertexId v) { return static_cast<NodeId>(2 * v); };
-  auto v_out = [](GraphVertexId v) { return static_cast<NodeId>(2 * v + 1); };
-  net.reset();
-  for (GraphVertexId v : a) net.attach_source(v);
-  for (GraphVertexId v : b) net.attach_sink(v);
-  net.max_flow();
+  run_flow(net, a, b);
+  const NodeId split_nodes = 2 * g.num_vertices();
 
   VertexCutResult out;
   out.complete = net.last_flow_complete();
   const std::vector<char>& reach = net.source_side();
-  for (GraphVertexId v = 0; v < n; ++v) {
-    if (reach[static_cast<std::size_t>(v_in(v))] &&
-        !reach[static_cast<std::size_t>(v_out(v))]) {
-      out.cut_vertices.push_back(v);
-      out.value += g.vertex_weight(v);
-    }
+  for (const NodeId x : net.reached()) {
+    if (x < split_nodes && x % 2 == 0 &&
+        !reach[static_cast<std::size_t>(x + 1)])
+      out.cut_vertices.push_back(x / 2);
   }
+  out.value = sort_and_sum(out.cut_vertices, [&g](GraphVertexId v) {
+    return g.vertex_weight(v);
+  });
   span.arg("cut_value", out.value);
   span.arg("augmenting_paths", net.last_augmenting_paths());
   HT_DCHECK(!out.complete || vertex_cut_separates(g, out.cut_vertices, a, b));
   return out;
 }
 
-/// One min hyperedge cut query on `net`, a hyperedge_cut_network(h).
+/// One min hyperedge cut query on `net`, a hyperedge_cut_network(h): net e
+/// is cut when e_in = n+2e is reached and e_out = n+2e+1 is not (for any
+/// max flow, e_out is reachable exactly when all pins are).
 HyperedgeCutResult solve_hyperedge_cut(FlowNetwork& net, const Hypergraph& h,
                                        const std::vector<HyperVertexId>& a,
                                        const std::vector<HyperVertexId>& b) {
@@ -155,34 +149,21 @@ HyperedgeCutResult solve_hyperedge_cut(FlowNetwork& net, const Hypergraph& h,
   span.arg("b", b.size());
   PerfCounters::global().add_max_flow_call();
   SolveTimer timer;
-  PieceAllocator::Scope scope(WorkArena::local().pieces());
-  check_disjoint_nonempty(scope, a, b, h.num_vertices());
-  const auto n = h.num_vertices();
-  const auto m = h.num_edges();
-  // Lawler expansion node ids (see hyperedge_cut_network).
-  auto e_in = [n](ht::hypergraph::EdgeId e) {
-    return static_cast<NodeId>(n + 2 * e);
-  };
-  auto e_out = [n](ht::hypergraph::EdgeId e) {
-    return static_cast<NodeId>(n + 2 * e + 1);
-  };
-  net.reset();
-  for (auto v : a) net.attach_source(v);
-  for (auto v : b) net.attach_sink(v);
-  net.max_flow();
+  run_flow(net, a, b);
+  const NodeId n = h.num_vertices();
+  const NodeId net_nodes_end = n + 2 * h.num_edges();
 
-  // A hyperedge is cut iff e_in is reachable and e_out is not (for any max
-  // flow, e_out is reachable exactly when all pins are).
   HyperedgeCutResult out;
   out.complete = net.last_flow_complete();
   const std::vector<char>& reach = net.source_side();
-  for (ht::hypergraph::EdgeId e = 0; e < m; ++e) {
-    if (reach[static_cast<std::size_t>(e_in(e))] &&
-        !reach[static_cast<std::size_t>(e_out(e))]) {
-      out.cut_edges.push_back(e);
-      out.value += h.edge_weight(e);
-    }
+  for (const NodeId x : net.reached()) {
+    if (x >= n && x < net_nodes_end && (x - n) % 2 == 0 &&
+        !reach[static_cast<std::size_t>(x + 1)])
+      out.cut_edges.push_back((x - n) / 2);
   }
+  out.value = sort_and_sum(out.cut_edges, [&h](ht::hypergraph::EdgeId e) {
+    return h.edge_weight(e);
+  });
   span.arg("cut_value", out.value);
   span.arg("augmenting_paths", net.last_augmenting_paths());
   HT_DCHECK(!out.complete || hyperedge_cut_separates(h, out.cut_edges, a, b));
@@ -253,24 +234,25 @@ double tree_path_min(const std::vector<std::int32_t>& parent,
 }
 
 /// Gusfield apply step for vertex i with cut value `value`, whose source
-/// side (i's side) is the indicator `on_i_side`: record the cut, re-hang
-/// the unapplied vertices k > i of i's side that hang off j = parent[i],
-/// and splice i between j and j's parent if that parent fell on i's side.
-template <typename Tree, typename Side>
+/// side (i's side) is the vertex part of what `net` reached: record the cut,
+/// re-hang the unapplied vertices k > i of i's side that hang off
+/// j = parent[i], and splice i between j and j's parent if that parent fell
+/// on i's side. Vertices are nodes 0..n-1 of both expansions.
+template <typename Tree>
 void gusfield_apply(Tree& tree, std::int32_t i, double value,
-                    const Side& on_i_side) {
+                    const FlowNetwork& net) {
   auto& parent = tree.parent;
   auto& parent_cut = tree.parent_cut;
   const auto n = static_cast<std::int32_t>(parent.size());
   const std::int32_t j = parent[static_cast<std::size_t>(i)];
+  HT_CHECK(!net.on_source_side(j));
   parent_cut[static_cast<std::size_t>(i)] = value;
-  for (std::int32_t k = i + 1; k < n; ++k) {
-    if (parent[static_cast<std::size_t>(k)] == j &&
-        on_i_side[static_cast<std::size_t>(k)])
+  for (const NodeId k : net.reached()) {
+    if (k > i && k < n && parent[static_cast<std::size_t>(k)] == j)
       parent[static_cast<std::size_t>(k)] = i;
   }
   const std::int32_t pj = parent[static_cast<std::size_t>(j)];
-  if (pj != -1 && on_i_side[static_cast<std::size_t>(pj)]) {
+  if (pj != -1 && net.on_source_side(pj)) {
     parent[static_cast<std::size_t>(i)] = pj;
     parent_cut[static_cast<std::size_t>(i)] =
         parent_cut[static_cast<std::size_t>(j)];
@@ -319,12 +301,19 @@ std::vector<std::int32_t> certified_sinks(const Tree& tree, std::int32_t i,
 /// one build answers every step as a fresh network would. `boundary(i)` is
 /// w(delta({i})); `solve(net, i, sinks)` answers the min cut between i and
 /// the certified sink set of i's parent (certified_sinks), which is the
-/// i-parent[i] min cut; `apply(i, c)` applies a complete cut to out.tree
-/// (via gusfield_apply).
-template <typename RunResult, typename BoundaryFn, typename SolveFn,
-          typename ApplyFn>
+/// i-parent[i] min cut. A complete cut is applied from the network's own
+/// residual marks (gusfield_apply).
+///
+/// In the hypergraph those marks are exactly i's side: the component C of
+/// i in H minus the cut nets equals the reached vertex set R. C is inside R
+/// because a reached pin reaches its net's e_in, an uncut net with reached
+/// e_in has reached e_out, and e_out reaches every pin. R is inside C
+/// because the Lawler cut induced by C costs w(delta(C)) <= the cut value,
+/// the max flow, so it is a min cut, and residual reachability lies inside
+/// every min cut.
+template <typename RunResult, typename BoundaryFn, typename SolveFn>
 void run_gusfield(std::int32_t n, FlowNetwork net, RunResult& out,
-                  BoundaryFn&& boundary, SolveFn&& solve, ApplyFn&& apply) {
+                  BoundaryFn&& boundary, SolveFn&& solve) {
   RunState* run = current_run_state();
   auto& tree = out.tree;
   tree.root = 0;
@@ -345,7 +334,7 @@ void run_gusfield(std::int32_t n, FlowNetwork net, RunResult& out,
       interrupted = true;
       break;
     }
-    apply(i, c);
+    gusfield_apply(tree, i, c.value, net);
     ++out.applied;
     if (run != nullptr) run->note_piece();
   }
@@ -381,7 +370,6 @@ GomoryHuRunResult CutEngine::gomory_hu(const Graph& g) const {
   // the per-flow detail.
   ht::obs::TraceSpan trace("gomory_hu");
   trace.arg("n", n);
-  ht::PhaseTimer phase("gomory_hu.graph");
   GomoryHuRunResult out;
   run_gusfield(
       n, FlowNetwork::edge_cut_network(g), out,
@@ -393,9 +381,6 @@ GomoryHuRunResult CutEngine::gomory_hu(const Graph& g) const {
       [&](FlowNetwork& net, GraphVertexId i,
           const std::vector<GraphVertexId>& sinks) {
         return solve_edge_cut(net, g, {i}, sinks);
-      },
-      [&](GraphVertexId i, const EdgeCutResult& cut) {
-        gusfield_apply(out.tree, i, cut.value, cut.source_side);
       });
   trace.arg("applied", out.applied);
   return out;
@@ -409,9 +394,7 @@ HypergraphGomoryHuRunResult CutEngine::gomory_hu(const Hypergraph& h) const {
   ht::obs::TraceSpan trace("gomory_hu.hypergraph");
   trace.arg("n", n);
   trace.arg("m", h.num_edges());
-  ht::PhaseTimer phase("gomory_hu.hypergraph");
   HypergraphGomoryHuRunResult out;
-  const auto m = static_cast<std::size_t>(h.num_edges());
   run_gusfield(
       n, FlowNetwork::hyperedge_cut_network(h), out,
       [&](HyperVertexId i) {
@@ -423,38 +406,6 @@ HypergraphGomoryHuRunResult CutEngine::gomory_hu(const Hypergraph& h) const {
       [&](FlowNetwork& net, HyperVertexId i,
           const std::vector<HyperVertexId>& sinks) {
         return solve_hyperedge_cut(net, h, {i}, sinks);
-      },
-      [&](HyperVertexId i, const HyperedgeCutResult& cut) {
-        // Source side of the canonical minimum cut: vertices still
-        // reachable from i after removing the cut hyperedges. The scratch
-        // is per-apply and pool-allocated — n-1 applies reuse one chunk.
-        PieceAllocator::Scope scope(WorkArena::local().pieces());
-        auto removed = scope.alloc_zero<char>(m);
-        auto edge_done = scope.alloc_zero<char>(m);
-        auto reachable = scope.alloc_zero<char>(static_cast<std::size_t>(n));
-        auto stack = scope.alloc<HyperVertexId>(static_cast<std::size_t>(n));
-        std::int32_t top = 0;
-        for (auto e : cut.cut_edges) removed[static_cast<std::size_t>(e)] = 1;
-        stack[top++] = i;
-        reachable[static_cast<std::size_t>(i)] = 1;
-        while (top > 0) {
-          const HyperVertexId v = stack[--top];
-          for (auto e : h.incident_edges(v)) {
-            if (removed[static_cast<std::size_t>(e)] ||
-                edge_done[static_cast<std::size_t>(e)])
-              continue;
-            edge_done[static_cast<std::size_t>(e)] = 1;
-            for (auto u : h.pins(e)) {
-              if (!reachable[static_cast<std::size_t>(u)]) {
-                reachable[static_cast<std::size_t>(u)] = 1;
-                stack[top++] = u;
-              }
-            }
-          }
-        }
-        HT_CHECK(!reachable[static_cast<std::size_t>(
-            out.tree.parent[static_cast<std::size_t>(i)])]);
-        gusfield_apply(out.tree, i, cut.value, reachable);
       });
   trace.arg("applied", out.applied);
   return out;

@@ -11,7 +11,11 @@
 //
 // Every query runs arena Dinic (flow/flow_network.hpp) and reads the
 // witness off residual reachability, i.e. the unique inclusion-minimal min
-// cut, so answers are byte-identical for every thread count. A point query
+// cut, so answers are byte-identical for every thread count. The witness is
+// read once, from the flow that found it: the readers walk only the nodes
+// the residual search reached (FlowNetwork::reached()), and a Gomory–Hu
+// step applies i's side from the same marks. A and B must be non-empty and
+// disjoint; an overlap is rejected as the terminals attach. A point query
 // builds its network, solves it once and frees it on return. A Gomory–Hu
 // build owns one network for all of its n-1 flows: reset() restores exact
 // capacities, so each step answers as a fresh network would. Deadline/

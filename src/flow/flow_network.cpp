@@ -185,17 +185,23 @@ void FlowNetwork::reset() {
 }
 
 void FlowNetwork::attach_source(std::int32_t slot) {
-  HT_CHECK(0 <= slot &&
-           slot < static_cast<std::int32_t>(source_arc_of_.size()));
-  const std::int32_t a = source_arc_of_[static_cast<std::size_t>(slot)];
-  touch(a);
-  cap_[static_cast<std::size_t>(a)] = kInfiniteCapacity;
+  attach(source_arc_of_, sink_arc_of_, slot);
 }
 
 void FlowNetwork::attach_sink(std::int32_t slot) {
-  HT_CHECK(0 <= slot &&
-           slot < static_cast<std::int32_t>(sink_arc_of_.size()));
-  const std::int32_t a = sink_arc_of_[static_cast<std::size_t>(slot)];
+  attach(sink_arc_of_, source_arc_of_, slot);
+}
+
+void FlowNetwork::attach(const std::vector<std::int32_t>& arc_of,
+                         const std::vector<std::int32_t>& other_arc_of,
+                         std::int32_t slot) {
+  HT_CHECK(0 <= slot && slot < static_cast<std::int32_t>(arc_of.size()));
+  const auto s = static_cast<std::size_t>(slot);
+  // Between reset() and max_flow() the only positive terminal arcs are
+  // the attached ones, so this is the A/B disjointness check at O(1).
+  HT_CHECK_MSG(!positive(cap_[static_cast<std::size_t>(other_arc_of[s])]),
+               "A and B intersect at vertex " << slot);
+  const std::int32_t a = arc_of[s];
   touch(a);
   cap_[static_cast<std::size_t>(a)] = kInfiniteCapacity;
 }

@@ -23,9 +23,10 @@
 //
 //   net.reset();                        // restore the arcs the last query wrote
 //   net.attach_source(v); ...           // flip terminal arcs to infinity
-//   net.attach_sink(u);  ...
+//   net.attach_sink(u);  ...            // (u in both sets is an HT_CHECK)
 //   net.max_flow();                     // Dinic, in place
-//   const auto& side = net.source_side();
+//   const auto& side = net.source_side();  // marks per node
+//   for (NodeId x : net.reached()) ...  // the marked nodes, s first
 //
 // Because reset() restores the exact pre-query capacities, a reused
 // network answers every query bit-identically to a freshly built one.
@@ -33,8 +34,9 @@
 // Every per-query cost is proportional to the state the query touched, not
 // to the network: each arc written since the last reset() is logged once
 // (a dirty byte per arc keeps the log at most num_arcs() long), bfs()
-// clears only the labels its previous call set, and source_side() clears
-// only its own previous marks. A Gomory–Hu step that ends at a nearby
+// clears only the labels its previous call set, source_side() clears only
+// its own previous marks, and reached() lists those marks so a witness
+// reader pays for the side it found. A Gomory–Hu step that ends at a nearby
 // certified sink (cut_engine.cpp) therefore costs the neighbourhood it
 // explored, not the whole Lawler network.
 //
@@ -103,18 +105,30 @@ class FlowNetwork {
   /// in the "flow.touched_arcs" histogram. Must precede attach_*.
   void reset();
   /// Activates the preallocated s -> slot arc at infinite capacity.
-  /// `slot` is the original vertex id the builder registered.
+  /// `slot` is the original vertex id the builder registered. Throws
+  /// (HT_CHECK) when the slot is out of range or already attached to the
+  /// sink in this query: A and B must be disjoint.
   void attach_source(std::int32_t slot);
-  /// Activates the preallocated slot -> t arc at infinite capacity.
+  /// Activates the preallocated slot -> t arc at infinite capacity; the
+  /// mirror of attach_source().
   void attach_sink(std::int32_t slot);
 
   /// Dinic max flow s -> t over the current capacities, in place.
   double max_flow();
 
-  /// After a solve: vertices reachable from s in the residual network (the
-  /// canonical inclusion-minimal min cut's source side). The reference is
-  /// into a scratch buffer invalidated by the next query on this network.
+  /// After a solve: marks, per node, reachability from s in the residual
+  /// network (the canonical inclusion-minimal min cut's source side). The
+  /// reference is into a scratch buffer invalidated by the next query on
+  /// this network.
   const std::vector<char>& source_side();
+  /// The nodes the last source_side() call marked, s first, in BFS order.
+  /// Witness readers walk this list instead of the whole network, so a cut
+  /// costs the side it found. Invalidated like source_side().
+  const std::vector<NodeId>& reached() const { return reached_; }
+  /// Whether the last source_side() call marked node v.
+  bool on_source_side(NodeId v) const {
+    return reach_[static_cast<std::size_t>(v)] != 0;
+  }
 
  private:
   void init(NodeId inner_nodes, std::int32_t terminal_slots);
@@ -127,6 +141,9 @@ class FlowNetwork {
   }
   void add_terminal_pair(std::int32_t slot, NodeId source_entry,
                          NodeId sink_exit);
+  void attach(const std::vector<std::int32_t>& arc_of,
+              const std::vector<std::int32_t>& other_arc_of,
+              std::int32_t slot);
   void freeze();
 
   static bool positive(double c) { return c > 1e-11; }

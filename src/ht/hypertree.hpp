@@ -76,7 +76,7 @@ namespace ht {
 /// set — overrides the per-algorithm options seed.
 ///
 /// Runs on the same Solver share only thread-local scratch (WorkArena
-/// remaps and piece pools); an interrupted run leaves it consistent, so
+/// remaps); an interrupted run leaves it consistent, so
 /// the next run reuses it with no leaked state.
 ///
 /// All methods return StatusOr with anytime semantics: has_value() is

@@ -1,27 +1,22 @@
 // Per-thread scratch arena for the zero-rebuild decomposition stack.
 //
-// Two services, both allocation-free on the steady path:
-//
-//  * Epoch-stamped remaps: the decomposition-tree split oracle and the
-//    Theorem 1 profile gap-fill need an old-id -> local-id map over the
-//    parent universe at every recursion level. Allocating (or clearing)
-//    an O(n) array per level turns the recursion quadratic in allocations;
-//    the arena instead keeps one stamp array per thread and invalidates it
-//    by bumping an epoch counter, so begin_remap() is O(1) amortized.
-//
-//  * A per-piece scratch pool (pieces()): a bump/pool allocator for the
-//    short-lived buffers of one piece or one flow query.
+// One service, allocation-free on the steady path: epoch-stamped remaps.
+// The decomposition-tree split oracle and the Theorem 1 profile gap-fill
+// need an old-id -> local-id map over the parent universe at every
+// recursion level. Allocating (or clearing) an O(n) array per level turns
+// the recursion quadratic in allocations; the arena instead keeps one stamp
+// array per thread and invalidates it by bumping an epoch counter, so
+// begin_remap() is O(1) amortized.
 //
 // The arena is strictly thread-local (WorkArena::local()); no
-// synchronization. It holds scratch only: flow networks belong to the call
-// that builds them (flow/cut_engine.cpp).
+// synchronization. Flow queries need no scratch here: each reads its
+// witness off the network's own residual marks (flow/cut_engine.cpp).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "util/check.hpp"
-#include "util/piece_allocator.hpp"
 
 namespace ht {
 
@@ -61,19 +56,10 @@ class WorkArena {
   /// or the 32-bit epoch wraps.
   Remap begin_remap(std::int32_t universe);
 
-  // --- per-piece scratch pool ----------------------------------------------
-
-  /// The thread's bump/pool allocator for per-piece scratch (terminal
-  /// marks, hypergraph Gomory–Hu side masks). Open a
-  /// PieceAllocator::Scope on it around each piece; see
-  /// util/piece_allocator.hpp for the LIFO discipline.
-  PieceAllocator& pieces() { return pieces_; }
-
  private:
   std::vector<std::uint32_t> remap_stamp_;
   std::vector<std::int32_t> remap_value_;
   std::uint32_t epoch_ = 0;
-  PieceAllocator pieces_;
 };
 
 }  // namespace ht

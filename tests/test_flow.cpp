@@ -165,10 +165,26 @@ TEST(MinEdgeCut, MultiTerminalSets) {
   EXPECT_DOUBLE_EQ(cut.value, 3.0);
 }
 
+// Every query rejects overlapping terminal sets (whichever set lists the
+// shared vertex first), an empty set and an out-of-range id.
+template <typename Query>
+void expect_rejects_bad_terminals(Query&& query, std::int32_t n) {
+  EXPECT_THROW(query({0, 1}, {1, 2}), std::logic_error);
+  EXPECT_THROW(query({2, 1}, {1, 0}), std::logic_error);
+  EXPECT_THROW(query({0}, {2, 0}), std::logic_error);
+  EXPECT_THROW(query({}, {1}), std::logic_error);
+  EXPECT_THROW(query({0}, {}), std::logic_error);
+  EXPECT_THROW(query({0}, {n}), std::logic_error);
+  EXPECT_THROW(query({-1}, {1}), std::logic_error);
+}
+
 TEST(MinEdgeCut, RejectsOverlap) {
   const Graph g = ht::graph::path(3);
-  EXPECT_THROW(ht::CutEngine().min_edge_cut(g, {0, 1}, {1, 2}), std::logic_error);
-  EXPECT_THROW(ht::CutEngine().min_edge_cut(g, {}, {1}), std::logic_error);
+  expect_rejects_bad_terminals(
+      [&g](std::vector<VertexId> a, std::vector<VertexId> b) {
+        return ht::CutEngine().min_edge_cut(g, a, b);
+      },
+      g.num_vertices());
 }
 
 // ---------- min_vertex_cut ----------
@@ -198,6 +214,15 @@ TEST(MinVertexCut, AdjacentTerminalsUseTerminal) {
   const auto cut = ht::CutEngine().min_vertex_cut(g, {0}, {1});
   EXPECT_DOUBLE_EQ(cut.value, 1.0);
   EXPECT_EQ(cut.cut_vertices.size(), 1u);
+}
+
+TEST(MinVertexCut, RejectsOverlap) {
+  const Graph g = ht::graph::path(3);
+  expect_rejects_bad_terminals(
+      [&g](std::vector<VertexId> a, std::vector<VertexId> b) {
+        return ht::CutEngine().min_vertex_cut(g, a, b);
+      },
+      g.num_vertices());
 }
 
 TEST(MinVertexCut, WeightsSteerTheCut) {
@@ -231,6 +256,18 @@ TEST(MinHyperedgeCut, SingleSpanningEdge) {
   const auto cut = ht::CutEngine().min_hyperedge_cut(h, {0}, {5});
   EXPECT_DOUBLE_EQ(cut.value, 2.5);
   EXPECT_EQ(cut.cut_edges, (std::vector<ht::hypergraph::EdgeId>{0}));
+}
+
+TEST(MinHyperedgeCut, RejectsOverlap) {
+  Hypergraph h(3);
+  h.add_edge({0, 1});
+  h.add_edge({1, 2});
+  h.finalize();
+  expect_rejects_bad_terminals(
+      [&h](std::vector<VertexId> a, std::vector<VertexId> b) {
+        return ht::CutEngine().min_hyperedge_cut(h, a, b);
+      },
+      h.num_vertices());
 }
 
 TEST(MinHyperedgeCut, ChoosesCheapSeparator) {

@@ -28,13 +28,10 @@
 #include "flow/cut_engine.hpp"
 #include "graph/generators.hpp"
 #include "hypergraph/generators.hpp"
-#include "obs/metrics.hpp"
 #include "util/perf_counters.hpp"
-#include "util/piece_allocator.hpp"
 #include "util/rng.hpp"
 #include "util/run_context.hpp"
 #include "util/thread_pool.hpp"
-#include "util/work_arena.hpp"
 
 namespace {
 
@@ -89,6 +86,7 @@ struct Solved {
   bool complete = true;
   std::uint64_t augmenting_paths = 0;
   std::vector<char> source_side;
+  std::vector<ht::flow::NodeId> reached;
 };
 
 /// One query on `net`, driven directly: restore, attach, solve, read.
@@ -103,6 +101,15 @@ Solved solve_on(FlowNetwork& net, const std::vector<VertexT>& a,
   out.complete = net.last_flow_complete();
   out.augmenting_paths = net.last_augmenting_paths();
   out.source_side = net.source_side();
+  out.reached = net.reached();
+  // reached() lists exactly the marked nodes, each once.
+  std::vector<char> listed(out.source_side.size(), 0);
+  for (const auto v : out.reached) {
+    EXPECT_TRUE(out.source_side[static_cast<std::size_t>(v)]);
+    EXPECT_FALSE(listed[static_cast<std::size_t>(v)]);
+    listed[static_cast<std::size_t>(v)] = 1;
+  }
+  EXPECT_EQ(listed, out.source_side);
   return out;
 }
 
@@ -112,6 +119,7 @@ void expect_same(const Solved& reused, const Solved& fresh,
   EXPECT_EQ(reused.flow, fresh.flow) << what;
   EXPECT_EQ(reused.augmenting_paths, fresh.augmenting_paths) << what;
   EXPECT_EQ(reused.source_side, fresh.source_side) << what;
+  EXPECT_EQ(reused.reached, fresh.reached) << what;
 }
 
 /// Random instances from `make(rng, n)` with random terminal sets: every
@@ -393,19 +401,28 @@ TEST(FlowEngineGolden, GoldensHoldAcrossThreadCounts) {
   ht::ThreadPool::reset_global();
 }
 
-TEST(FlowEngine, PoolAllocatorMetricsRegister) {
-  // The per-query terminal marks come from the thread's PieceAllocator;
-  // after a few queries the pool gauge and the reuse counter must both be
-  // live.
+TEST(FlowEngine, AttachRejectsBothTerminalsAtOneSlot) {
+  // Disjointness of A and B is checked where terminals attach, in either
+  // order, on all three expansions; a reset() clears the attachments.
   ht::Rng rng(65);
-  const auto g = ht::graph::gnp_connected(40, 5.0 / 40, rng);
-  const ht::CutEngine engine;
-  auto& reuse = ht::obs::MetricsRegistry::global().counter("flow.pool_reuse");
-  const auto reuse_before = reuse.value();
-  for (int q = 0; q < 4; ++q)
-    (void)engine.min_edge_cut(g, {0}, {g.num_vertices() - 1});
-  EXPECT_GT(ht::WorkArena::local().pieces().bytes_reserved(), 0u);
-  EXPECT_GT(reuse.value(), reuse_before);
+  const auto g = ht::graph::gnp_connected(12, 0.4, rng);
+  const auto h = ht::hypergraph::random_uniform(12, 20, 3, rng);
+  for (FlowNetwork net : {FlowNetwork::edge_cut_network(g),
+                          FlowNetwork::vertex_cut_network(g),
+                          FlowNetwork::hyperedge_cut_network(h)}) {
+    net.reset();
+    net.attach_source(3);
+    EXPECT_THROW(net.attach_sink(3), std::logic_error);
+    net.reset();
+    net.attach_sink(5);
+    EXPECT_THROW(net.attach_source(5), std::logic_error);
+    EXPECT_THROW(net.attach_source(12), std::logic_error);
+    EXPECT_THROW(net.attach_sink(-1), std::logic_error);
+    net.reset();
+    net.attach_source(5);
+    net.attach_sink(3);
+    EXPECT_GT(net.max_flow(), 0.0);
+  }
 }
 
 }  // namespace
